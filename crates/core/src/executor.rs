@@ -1,11 +1,30 @@
 //! The executor: launching service instances and running tasks.
 //!
 //! The executor realises flows ③–⑤ of the paper's architecture (Fig. 2): it places each
-//! scheduled entity on its slot and drives it through its lifecycle. Every service and
-//! task runs on its own OS thread (the paper's entities are self-contained executables
-//! placed on specific nodes), and all hardware-bound durations — launcher start-up,
-//! model load, data staging, compute kernels, network hops, token generation — are spent
-//! on the session's shared virtual clock.
+//! scheduled entity on its slot and drives it through its lifecycle. Every lifecycle —
+//! a service, a batch-admitted task, a task without a ticket — runs as a [`Job`] on a
+//! reused worker thread of one elastic pool, and all hardware-bound durations —
+//! launcher start-up, model load, data staging, compute kernels, network hops, token
+//! generation — are spent on the session's shared virtual clock.
+//!
+//! ## Worker pool
+//!
+//! Services and tasks without an admission ticket get a worker right away: they block
+//! on readiness relations before they hold a FIFO place. A batch-admitted task waits in
+//! the pool as a plain job, with no thread, in the *lane* of its scheduler queue shard.
+//! Per lane at most [`Scheduler::lookahead`] workers block in placement, and they hold
+//! that shard's oldest unplaced tickets: exactly the scheduler's serve window, so
+//! nothing the window could place is left without a thread. A worker leaving placement
+//! (slot granted, or error) hands the role to the lane's next ticket by waking an idle
+//! worker, or by spawning one only when no worker is idle or about to finish its job.
+//! Threads therefore track the peak number of concurrently live entities, not the
+//! number of entities submitted; `executor.workers` records the live count at every
+//! spawn. Idle workers park on the pool's condvar and exit at [`Executor::join_all`].
+//!
+//! Each job runs under `catch_unwind`: a panic fails the entity with the panic message,
+//! releases the slot it holds and hands its placement role on, and the worker lives on.
+//! The pool lock is a leaf: it is never held across a scheduler, registry or metrics
+//! call.
 //!
 //! For **local services** the executor measures the three bootstrap components of the
 //! paper's Fig. 3 from the service's own state timestamps:
@@ -14,13 +33,15 @@
 //! response-time sample per request, decomposed into `communication`, `service` and
 //! `inference` exactly as the paper's experiments 2 and 3 do.
 
+mod pool;
+
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -48,6 +69,8 @@ use crate::records::{BootstrapTimes, ServiceRecord, TaskRecord};
 use crate::scheduler::{AdmissionTicket, Priority, Scheduler};
 use crate::states::{ServiceState, TaskState};
 
+use pool::{LaneKey, Pool, Shift, Spawn};
+
 /// Metadata key under which a service's model name is published.
 pub const META_MODEL: &str = "model";
 /// Metadata key under which a service's platform is published.
@@ -55,7 +78,7 @@ pub const META_PLATFORM: &str = "platform";
 /// Metadata key under which a service's runtime identifier is published.
 pub const META_SERVICE_ID: &str = "service_id";
 
-/// How long entity threads wait for dependencies (endpoints, resources) in real time.
+/// How long entities wait for dependencies (endpoints, resources) in real time.
 const DEPENDENCY_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Virtual backoff before the first retry of a task evicted by a node failure;
@@ -65,6 +88,83 @@ const RETRY_BACKOFF_BASE_SECS: f64 = 0.5;
 /// How many times an inference client honours a shed reply's retry-after hint before
 /// counting the request as failed.
 const MAX_SHED_RETRIES: u32 = 3;
+
+/// One entity lifecycle, run on a pool worker ([`Executor::submit`]).
+pub struct Job {
+    entity: Entity,
+    scheduler: Option<Arc<Scheduler>>,
+    /// The batch-admission ticket and when it was issued: the placement deadline
+    /// counts from there.
+    admission: Option<(AdmissionTicket, Instant)>,
+}
+
+/// The entity a job drives, also kept aside so a panicking job can still be failed
+/// and its slot released.
+#[derive(Clone)]
+enum Entity {
+    Service(Arc<ServiceRecord>),
+    Task(Arc<TaskRecord>),
+    /// Places its admitted ticket, then panics while still holding the placement
+    /// role and the slot (panic-containment tests).
+    #[cfg(test)]
+    PanickingTask(Arc<TaskRecord>),
+}
+
+impl Job {
+    /// Bootstrap a service instance and serve until asked to stop. Local services
+    /// place through `scheduler`; remote ones pass `None`.
+    pub fn service(record: Arc<ServiceRecord>, scheduler: Option<Arc<Scheduler>>) -> Job {
+        Job {
+            entity: Entity::Service(record),
+            scheduler,
+            admission: None,
+        }
+    }
+
+    /// Run a task that holds no admission ticket: it enters `Scheduling`, waits for
+    /// its `after_services`, then queues for placement. Without a scheduler it fails.
+    pub fn task(record: Arc<TaskRecord>, scheduler: Option<Arc<Scheduler>>) -> Job {
+        Job {
+            entity: Entity::Task(record),
+            scheduler,
+            admission: None,
+        }
+    }
+
+    /// Run a task admitted through [`Scheduler::submit_batch`]: its record already
+    /// entered `Scheduling` at admission and `ticket` holds its FIFO place. The
+    /// placement deadline starts now.
+    pub fn admitted(
+        record: Arc<TaskRecord>,
+        scheduler: Arc<Scheduler>,
+        ticket: AdmissionTicket,
+    ) -> Job {
+        Job {
+            entity: Entity::Task(record),
+            scheduler: Some(scheduler),
+            admission: Some((ticket, Instant::now())),
+        }
+    }
+
+    /// The pool lane an admitted job waits in, with the lane's role window.
+    fn lane(&self) -> Option<(LaneKey, usize)> {
+        let ((ticket, _), scheduler) = self.admission.as_ref().zip(self.scheduler.as_ref())?;
+        let key = LaneKey {
+            scheduler: Arc::as_ptr(scheduler) as usize,
+            shard: ticket.shard(),
+        };
+        Some((key, scheduler.lookahead()))
+    }
+}
+
+/// The text of a panic payload.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
 
 /// The executor component.
 pub struct Executor {
@@ -77,7 +177,7 @@ pub struct Executor {
     publish_overhead: Dist,
     seed_counter: AtomicU64,
     base_seed: u64,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    pool: Pool<Job>,
 }
 
 impl std::fmt::Debug for Executor {
@@ -87,7 +187,7 @@ impl std::fmt::Debug for Executor {
                 "concurrent_launches",
                 &self.concurrent_launches.load(Ordering::Relaxed),
             )
-            .field("spawned", &self.handles.lock().len())
+            .field("workers", &self.pool.live())
             .finish()
     }
 }
@@ -114,7 +214,7 @@ impl Executor {
             publish_overhead: Dist::normal(0.35, 0.08),
             seed_counter: AtomicU64::new(1),
             base_seed,
-            handles: Mutex::new(Vec::new()),
+            pool: Pool::new(),
         })
     }
 
@@ -124,70 +224,146 @@ impl Executor {
             .wrapping_add(self.seed_counter.fetch_add(1, Ordering::Relaxed))
     }
 
-    fn publish_state(&self, entity_kind: &str, id: &str, state: &str) {
-        let msg = Message::new(format!("state.{entity_kind}.{state}"), "state.update")
+    fn state_update(entity_kind: &str, id: &str, state: &str) -> Message {
+        Message::new(format!("state.{entity_kind}.{state}"), "state.update")
             .with_header("entity", id)
-            .with_header("state", state);
-        self.publisher.publish(&msg);
+            .with_header("state", state)
     }
 
-    /// Spawn the lifecycle thread of a service instance.
-    pub fn spawn_service(
-        self: &Arc<Self>,
-        record: Arc<ServiceRecord>,
-        scheduler: Option<Arc<Scheduler>>,
+    fn publish_state(&self, entity_kind: &str, id: &str, state: &str) {
+        self.publisher
+            .publish(&Self::state_update(entity_kind, id, state));
+    }
+
+    /// Publish the same `state.<entity_kind>.<state>` update for many entities as
+    /// one batch on the session's update bus.
+    pub(crate) fn publish_states<'a>(
+        &self,
+        entity_kind: &str,
+        ids: impl IntoIterator<Item = &'a str>,
+        state: &str,
     ) {
-        let this = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(record.id.clone())
-            .spawn(move || this.run_service(record, scheduler))
-            .expect("failed to spawn service thread");
-        self.handles.lock().push(handle);
+        let msgs: Vec<Message> = ids
+            .into_iter()
+            .map(|id| Self::state_update(entity_kind, id, state))
+            .collect();
+        self.publisher.publish_batch(&msgs);
     }
 
-    /// Spawn the lifecycle thread of a task.
-    pub fn spawn_task(
-        self: &Arc<Self>,
-        record: Arc<TaskRecord>,
-        scheduler: Option<Arc<Scheduler>>,
-    ) {
-        let this = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(record.id.clone())
-            .spawn(move || this.run_task(record, scheduler, None))
-            .expect("failed to spawn task thread");
-        self.handles.lock().push(handle);
+    /// Queue entity lifecycles on the worker pool. Admitted tasks wait in their queue
+    /// shard's lane until a placement role is free; every other job starts on a
+    /// worker right away.
+    pub fn submit(self: &Arc<Self>, jobs: impl IntoIterator<Item = Job>) {
+        let spawn = self.pool.push(jobs.into_iter().map(|job| {
+            let lane = job.lane();
+            (job, lane)
+        }));
+        self.spawn_workers(spawn);
     }
 
-    /// Spawn the lifecycle thread of a task whose placement request was already
-    /// admitted through [`Scheduler::submit_batch`]: the thread consumes the
-    /// [`AdmissionTicket`] instead of enqueueing again, so the task keeps the FIFO
-    /// place its batch admission recorded.
-    pub fn spawn_task_admitted(
-        self: &Arc<Self>,
-        record: Arc<TaskRecord>,
-        scheduler: Arc<Scheduler>,
-        ticket: AdmissionTicket,
-    ) {
-        let this = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(record.id.clone())
-            .spawn(move || this.run_task(record, Some(scheduler), Some(ticket)))
-            .expect("failed to spawn task thread");
-        self.handles.lock().push(handle);
-    }
-
-    /// Wait for every spawned entity thread to finish.
+    /// Close the pool and wait until every queued and running job has finished and
+    /// every worker has exited. Jobs submitted afterwards still run, on workers that
+    /// exit when idle (a later call joins them). A job's panic is contained (see the
+    /// module docs); a worker that died outside a job re-raises its panic here.
     pub fn join_all(&self) {
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.handles.lock());
-        for h in handles {
-            let _ = h.join();
+        if let Some(payload) = self.pool.close_and_join() {
+            if !std::thread::panicking() {
+                std::panic::resume_unwind(payload);
+            }
         }
     }
 
-    /// Number of entity threads spawned so far (including finished ones not yet joined).
+    /// Number of worker threads spawned over the executor's life. Workers are reused
+    /// across jobs, so this is bounded by the peak number of concurrently live
+    /// entities (plus placement roles), not by the number of entities submitted.
     pub fn spawned_count(&self) -> usize {
-        self.handles.lock().len()
+        self.pool.spawned()
+    }
+
+    fn spawn_workers(self: &Arc<Self>, spawn: Spawn) {
+        for live in (spawn.first_live..).take(spawn.count) {
+            let this = Arc::clone(self);
+            let handle = std::thread::Builder::new()
+                .name("executor-worker".into())
+                .spawn(move || this.work())
+                .expect("failed to spawn executor worker");
+            self.pool.adopt(handle);
+            self.metrics.record_scalar("executor.workers", live as f64);
+        }
+    }
+
+    /// A worker's life: take jobs until the pool closes.
+    fn work(self: Arc<Self>) {
+        let mut shift = Shift::spawned();
+        while let Some(job) = self.pool.next(&mut shift) {
+            self.run_job(job, &mut shift);
+        }
+    }
+
+    fn run_job(self: &Arc<Self>, job: Job, shift: &mut Shift) {
+        let Job {
+            entity,
+            scheduler,
+            admission,
+        } = job;
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| match entity.clone() {
+            Entity::Service(record) => self.run_service(record, scheduler.clone()),
+            Entity::Task(record) => self.run_task(record, scheduler.clone(), admission, shift),
+            #[cfg(test)]
+            Entity::PanickingTask(record) => {
+                let scheduler = scheduler.as_ref().expect("admitted jobs carry a scheduler");
+                let (ticket, _) = admission.expect("an admitted job");
+                *record.slot.lock() = scheduler.allocate_admitted(ticket, DEPENDENCY_TIMEOUT).ok();
+                panic!("injected panic in {}", record.id);
+            }
+        }));
+        if let Err(payload) = run {
+            self.metrics.record_scalar("executor.panics", 1.0);
+            self.contain_panic(entity, scheduler, &*payload);
+        }
+        // A job that failed or panicked before leaving placement hands the role on
+        // here, so its lane's FIFO keeps moving.
+        self.leave_placement(shift);
+    }
+
+    /// Fail the entity of a panicked job and release the slot it holds.
+    fn contain_panic(
+        &self,
+        entity: Entity,
+        scheduler: Option<Arc<Scheduler>>,
+        payload: &(dyn Any + Send),
+    ) {
+        let reason = format!("panicked: {}", panic_message(payload));
+        let slot = match entity {
+            Entity::Service(record) => {
+                if !record.state.current().is_final() {
+                    record.state.fail(ServiceState::Failed, reason);
+                    self.publish_state("service", &record.id, "Failed");
+                }
+                record.slot.lock().clone()
+            }
+            Entity::Task(record) => {
+                if !record.state.current().is_final() {
+                    record.state.fail(TaskState::Failed, reason);
+                    self.publish_state("task", &record.id, "Failed");
+                }
+                record.slot.lock().clone()
+            }
+            #[cfg(test)]
+            Entity::PanickingTask(record) => {
+                return self.contain_panic(Entity::Task(record), scheduler, payload);
+            }
+        };
+        // A slot the job already released reports `UnknownSlot` without side
+        // effects, so releasing unconditionally never double-credits capacity.
+        if let (Some(slot), Some(scheduler)) = (slot, scheduler) {
+            let _ = scheduler.release(&slot);
+        }
+    }
+
+    fn leave_placement(self: &Arc<Self>, shift: &mut Shift) {
+        let spawn = self.pool.leave_placement(shift);
+        self.spawn_workers(spawn);
     }
 
     // ------------------------------------------------------------------ services
@@ -217,7 +393,7 @@ impl Executor {
             let scheduler = scheduler.ok_or_else(|| {
                 RuntimeError::InvalidState("local service submitted without an active pilot".into())
             })?;
-            let wait_start = std::time::Instant::now();
+            let wait_start = Instant::now();
             let slot =
                 scheduler.allocate(&desc.resources, Priority::Service, DEPENDENCY_TIMEOUT)?;
             self.metrics.record_scalar(
@@ -370,10 +546,11 @@ impl Executor {
     // ------------------------------------------------------------------ tasks
 
     fn run_task(
-        &self,
+        self: &Arc<Self>,
         record: Arc<TaskRecord>,
         scheduler: Option<Arc<Scheduler>>,
-        mut ticket: Option<AdmissionTicket>,
+        mut admission: Option<(AdmissionTicket, Instant)>,
+        shift: &mut Shift,
     ) {
         // Retry loop for node-failure evictions: a task that lost its slot re-enters
         // scheduling (at the front of its wait queue) up to `max_retries` times, with
@@ -381,17 +558,16 @@ impl Executor {
         // — and an eviction once the budget is spent — fails the task.
         let mut attempt = 0u32;
         loop {
-            let err =
-                match self.run_task_inner(&record, scheduler.clone(), attempt > 0, &mut ticket) {
-                    Ok(()) => return,
-                    Err(e) => e,
-                };
-            // A pre-admitted ticket the attempt never consumed must leave its
-            // queue, or it would sit at its shard's head forever, blocking the
-            // FIFO behind it.
-            if let (Some(unused), Some(s)) = (ticket.take(), scheduler.as_ref()) {
-                s.cancel_admitted(unused);
-            }
+            let err = match self.run_task_inner(
+                &record,
+                scheduler.as_ref(),
+                attempt > 0,
+                admission.take(),
+                shift,
+            ) {
+                Ok(()) => return,
+                Err(e) => e,
+            };
             let evicted = matches!(err, RuntimeError::Resource(ResourceError::NodeFailed(_)));
             if evicted && attempt < record.description.max_retries {
                 attempt += 1;
@@ -411,40 +587,60 @@ impl Executor {
     }
 
     fn run_task_inner(
-        &self,
+        self: &Arc<Self>,
         record: &Arc<TaskRecord>,
-        scheduler: Option<Arc<Scheduler>>,
+        scheduler: Option<&Arc<Scheduler>>,
         requeue: bool,
-        ticket: &mut Option<AdmissionTicket>,
+        admission: Option<(AdmissionTicket, Instant)>,
+        shift: &mut Shift,
     ) -> Result<(), RuntimeError> {
         let desc = record.description.clone();
 
-        record.state.transition(TaskState::Scheduling)?;
-        self.publish_state("task", &record.id, "Scheduling");
+        // An admitted task entered Scheduling at admission and has no readiness
+        // relations (only dependency-free tasks are batch-admitted).
+        if admission.is_none() {
+            record.state.transition(TaskState::Scheduling)?;
+            self.publish_state("task", &record.id, "Scheduling");
 
-        // Readiness relations: every service named in `after_services` must have
-        // published its endpoint before this task starts.
-        for service_name in &desc.after_services {
-            self.registry
-                .wait_for(&format!("service.{service_name}"), DEPENDENCY_TIMEOUT)
-                .map_err(RuntimeError::Comm)?;
+            // Readiness relations: every service named in `after_services` must have
+            // published its endpoint before this task starts.
+            for service_name in &desc.after_services {
+                self.registry
+                    .wait_for(&format!("service.{service_name}"), DEPENDENCY_TIMEOUT)
+                    .map_err(RuntimeError::Comm)?;
+            }
         }
 
         let scheduler = scheduler.ok_or_else(|| {
             RuntimeError::InvalidState("task submitted without an active pilot".into())
         })?;
-        let wait_start = std::time::Instant::now();
         // A retry after a node failure re-enters its wait queue at the front: the
         // task already waited its turn before the eviction. A batch-admitted task
-        // consumes its ticket instead of enqueueing again (first attempt only —
-        // the ticket is gone once consumed).
-        let (slot, placement) = if let Some(admitted) = ticket.take() {
-            scheduler.allocate_admitted_with_stats(admitted, DEPENDENCY_TIMEOUT)?
+        // consumes its ticket instead of enqueueing again (first attempt only), and
+        // its wait — and placement deadline — count from admission.
+        let (wait_start, (slot, placement)) = if let Some((ticket, admitted_at)) = admission {
+            let timeout = DEPENDENCY_TIMEOUT.saturating_sub(admitted_at.elapsed());
+            let placed = scheduler.allocate_admitted_with_stats(ticket, timeout);
+            self.leave_placement(shift);
+            (admitted_at, placed?)
         } else if requeue {
-            scheduler.requeue_with_stats(&desc.resources, Priority::Task, DEPENDENCY_TIMEOUT)?
+            let wait_start = Instant::now();
+            let placed = scheduler.requeue_with_stats(
+                &desc.resources,
+                Priority::Task,
+                DEPENDENCY_TIMEOUT,
+            )?;
+            (wait_start, placed)
         } else {
-            scheduler.allocate_with_stats(&desc.resources, Priority::Task, DEPENDENCY_TIMEOUT)?
+            let wait_start = Instant::now();
+            let placed = scheduler.allocate_with_stats(
+                &desc.resources,
+                Priority::Task,
+                DEPENDENCY_TIMEOUT,
+            )?;
+            (wait_start, placed)
         };
+        *record.slot.lock() = Some(slot.clone());
         let wait_secs = wait_start.elapsed().as_secs_f64();
         self.metrics
             .record_scalar("task.placement_wait_secs", wait_secs);
@@ -474,7 +670,6 @@ impl Executor {
                     .record_scalar("task.gang.drain_secs", drain_secs);
             }
         }
-        *record.slot.lock() = Some(slot.clone());
 
         let finish = |result: Result<(), RuntimeError>| -> Result<(), RuntimeError> {
             match scheduler.release(&slot) {
@@ -522,6 +717,9 @@ impl Executor {
 
         record.state.transition(TaskState::Done)?;
         self.publish_state("task", &record.id, "Done");
+        // The job ends with this release, which may hand a placement role on:
+        // offer this worker to that hand-off instead of a new thread.
+        self.pool.announce_return(shift);
         finish(Ok(()))
     }
 
@@ -568,13 +766,13 @@ impl Executor {
                 Ok(entries)
             }
             ServiceSelector::ByModel(model) => {
-                let deadline = std::time::Instant::now() + DEPENDENCY_TIMEOUT;
+                let deadline = Instant::now() + DEPENDENCY_TIMEOUT;
                 loop {
                     let entries = self.registry.find_by_metadata(META_MODEL, model);
                     if !entries.is_empty() {
                         return Ok(entries);
                     }
-                    if std::time::Instant::now() >= deadline {
+                    if Instant::now() >= deadline {
                         return Err(RuntimeError::Comm(hpcml_comm::CommError::EndpointNotFound(
                             format!("no service hosting model {model}"),
                         )));
@@ -583,7 +781,7 @@ impl Executor {
                 }
             }
             ServiceSelector::Any => {
-                let deadline = std::time::Instant::now() + DEPENDENCY_TIMEOUT;
+                let deadline = Instant::now() + DEPENDENCY_TIMEOUT;
                 loop {
                     let names = self.registry.names();
                     if !names.is_empty() {
@@ -592,7 +790,7 @@ impl Executor {
                             .filter_map(|n| self.registry.lookup(n))
                             .collect());
                     }
-                    if std::time::Instant::now() >= deadline {
+                    if Instant::now() >= deadline {
                         return Err(RuntimeError::Comm(hpcml_comm::CommError::EndpointNotFound(
                             "no service registered".to_string(),
                         )));
@@ -732,6 +930,22 @@ mod tests {
         scheduler: Arc<Scheduler>,
     }
 
+    impl Fixture {
+        fn start_service(&self, record: &Arc<ServiceRecord>) {
+            self.executor.submit([Job::service(
+                Arc::clone(record),
+                Some(Arc::clone(&self.scheduler)),
+            )]);
+        }
+
+        fn start_task(&self, record: &Arc<TaskRecord>) {
+            self.executor.submit([Job::task(
+                Arc::clone(record),
+                Some(Arc::clone(&self.scheduler)),
+            )]);
+        }
+    }
+
     fn fixture(platform: PlatformId, nodes: usize, scale: f64) -> Fixture {
         let clock = ClockSpec::scaled(scale).build();
         let metrics = RuntimeMetrics::new();
@@ -780,8 +994,7 @@ mod tests {
         // Delta: MPI/PRRTE launcher, so launch (~2 s) clearly exceeds publish (~0.35 s).
         let fx = fixture(PlatformId::Delta, 1, 2000.0);
         let record = service_record(&fx, "llm-0", ModelSpec::sim_llama_8b(), PlatformId::Delta);
-        fx.executor
-            .spawn_service(Arc::clone(&record), Some(Arc::clone(&fx.scheduler)));
+        fx.start_service(&record);
 
         // Wait for readiness.
         record
@@ -809,8 +1022,7 @@ mod tests {
     fn service_fails_when_model_does_not_fit_gpu() {
         let fx = fixture(PlatformId::Local, 1, 10_000.0); // local GPUs have 16 GiB
         let record = service_record(&fx, "big", ModelSpec::sim_llama_70b(), PlatformId::Local);
-        fx.executor
-            .spawn_service(Arc::clone(&record), Some(Arc::clone(&fx.scheduler)));
+        fx.start_service(&record);
         let state = record
             .state
             .wait_until(|s| s.is_final(), Duration::from_secs(30));
@@ -827,13 +1039,11 @@ mod tests {
         let fx = fixture(PlatformId::Local, 2, 10_000.0);
         let a = service_record(&fx, "dup", ModelSpec::noop(), PlatformId::Local);
         let b = service_record(&fx, "dup", ModelSpec::noop(), PlatformId::Local);
-        fx.executor
-            .spawn_service(Arc::clone(&a), Some(Arc::clone(&fx.scheduler)));
+        fx.start_service(&a);
         a.state
             .wait_until(|s| s == ServiceState::Ready, Duration::from_secs(20))
             .unwrap();
-        fx.executor
-            .spawn_service(Arc::clone(&b), Some(Arc::clone(&fx.scheduler)));
+        fx.start_service(&b);
         let _ = b
             .state
             .wait_until(|s| s.is_final(), Duration::from_secs(20));
@@ -859,10 +1069,8 @@ mod tests {
             PlatformId::Local,
             Arc::clone(&fx.clock),
         );
-        fx.executor
-            .spawn_task(Arc::clone(&noop), Some(Arc::clone(&fx.scheduler)));
-        fx.executor
-            .spawn_task(Arc::clone(&compute), Some(Arc::clone(&fx.scheduler)));
+        fx.start_task(&noop);
+        fx.start_task(&compute);
         fx.executor.join_all();
         assert_eq!(noop.state.current(), TaskState::Done);
         assert_eq!(compute.state.current(), TaskState::Done);
@@ -870,6 +1078,56 @@ mod tests {
         let exec = fx.metrics.scalar_values("task.exec_secs");
         assert!(exec.iter().any(|v| *v >= 4.5), "exec times {exec:?}");
         assert_eq!(fx.scheduler.outstanding_slots(), 0);
+    }
+
+    #[test]
+    fn panicking_job_fails_its_task_releases_its_slot_and_hands_the_role_on() {
+        let fx = fixture(PlatformId::Local, 1, 10_000.0);
+        // Both tasks need the whole node, so the second places only once the
+        // panicking job's slot is released, and only through the lane's single
+        // placement role (lookahead 1), which the panic must hand on.
+        let task = |name: &str| {
+            TaskRecord::new(
+                format!("task.{name}"),
+                TaskDescription::new(name)
+                    .kind(TaskKind::compute_secs(1.0))
+                    .cores(8),
+                PlatformId::Local,
+                Arc::clone(&fx.clock),
+            )
+        };
+        let (doomed, next) = (task("doomed"), task("next"));
+        let req = next.description.resources;
+        let mut tickets = fx
+            .scheduler
+            .submit_batch(&[(req, Priority::Task), (req, Priority::Task)])
+            .unwrap()
+            .tickets
+            .into_iter();
+        for record in [&doomed, &next] {
+            record.state.transition(TaskState::Scheduling).unwrap();
+        }
+        fx.executor.submit([
+            Job {
+                entity: Entity::PanickingTask(Arc::clone(&doomed)),
+                scheduler: Some(Arc::clone(&fx.scheduler)),
+                admission: Some((tickets.next().unwrap(), Instant::now())),
+            },
+            Job::admitted(
+                Arc::clone(&next),
+                Arc::clone(&fx.scheduler),
+                tickets.next().unwrap(),
+            ),
+        ]);
+        next.state
+            .wait_until(|s| s == TaskState::Done, Duration::from_secs(30))
+            .unwrap();
+        fx.executor.join_all();
+        assert_eq!(doomed.state.current(), TaskState::Failed);
+        let error = doomed.state.error().unwrap();
+        assert!(error.contains("injected panic"), "error: {error}");
+        assert_eq!(fx.scheduler.outstanding_slots(), 0);
+        assert_eq!(fx.metrics.scalar_values("executor.panics"), vec![1.0]);
     }
 
     #[test]
@@ -881,7 +1139,7 @@ mod tests {
             PlatformId::Local,
             Arc::clone(&fx.clock),
         );
-        fx.executor.spawn_task(Arc::clone(&t), None);
+        fx.executor.submit([Job::task(Arc::clone(&t), None)]);
         fx.executor.join_all();
         assert_eq!(t.state.current(), TaskState::Failed);
         assert!(t.state.error().unwrap().contains("pilot"));
@@ -891,8 +1149,7 @@ mod tests {
     fn inference_client_records_response_breakdown() {
         let fx = fixture(PlatformId::Local, 2, 2000.0);
         let svc = service_record(&fx, "noop-0", ModelSpec::noop(), PlatformId::Local);
-        fx.executor
-            .spawn_service(Arc::clone(&svc), Some(Arc::clone(&fx.scheduler)));
+        fx.start_service(&svc);
 
         let client = TaskRecord::new(
             "task.client".into(),
@@ -902,8 +1159,7 @@ mod tests {
             PlatformId::Local,
             Arc::clone(&fx.clock),
         );
-        fx.executor
-            .spawn_task(Arc::clone(&client), Some(Arc::clone(&fx.scheduler)));
+        fx.start_task(&client);
         client
             .state
             .wait_until(|s| s.is_final(), Duration::from_secs(60))
@@ -922,10 +1178,8 @@ mod tests {
         let fx = fixture(PlatformId::Local, 2, 2000.0);
         let a = service_record(&fx, "noop-a", ModelSpec::noop(), PlatformId::Local);
         let b = service_record(&fx, "noop-b", ModelSpec::noop(), PlatformId::Local);
-        fx.executor
-            .spawn_service(Arc::clone(&a), Some(Arc::clone(&fx.scheduler)));
-        fx.executor
-            .spawn_service(Arc::clone(&b), Some(Arc::clone(&fx.scheduler)));
+        fx.start_service(&a);
+        fx.start_service(&b);
         a.state
             .wait_until(|s| s == ServiceState::Ready, Duration::from_secs(30))
             .unwrap();
@@ -958,8 +1212,7 @@ mod tests {
             PlatformId::Local,
             Arc::clone(&fx.clock),
         );
-        fx.executor
-            .spawn_task(Arc::clone(&task), Some(Arc::clone(&fx.scheduler)));
+        fx.start_task(&task);
         task.state
             .wait_until(|s| s == TaskState::Executing, Duration::from_secs(10))
             .unwrap();
@@ -992,8 +1245,7 @@ mod tests {
             PlatformId::Local,
             Arc::clone(&fx.clock),
         );
-        fx.executor
-            .spawn_task(Arc::clone(&task), Some(Arc::clone(&fx.scheduler)));
+        fx.start_task(&task);
         task.state
             .wait_until(|s| s == TaskState::Executing, Duration::from_secs(10))
             .unwrap();

@@ -64,6 +64,8 @@ struct StateInner<S> {
     /// Virtual time (seconds) at which each state was entered, keyed by `{:?}` name.
     timestamps: BTreeMap<String, f64>,
     error: Option<String>,
+    /// Threads blocked in `wait_until`: a transition only notifies when one is.
+    waiters: usize,
 }
 
 /// A validated, waitable state holder.
@@ -83,6 +85,7 @@ impl<S: StateModel> StateCell<S> {
                 current: initial,
                 timestamps,
                 error: None,
+                waiters: 0,
             }),
             cond: Condvar::new(),
             clock,
@@ -129,7 +132,9 @@ impl<S: StateModel> StateCell<S> {
         inner
             .timestamps
             .insert(format!("{next:?}"), self.clock.now().as_secs_f64());
-        self.cond.notify_all();
+        if inner.waiters > 0 {
+            self.cond.notify_all();
+        }
         Ok(())
     }
 
@@ -142,7 +147,9 @@ impl<S: StateModel> StateCell<S> {
         inner
             .timestamps
             .insert(format!("{failed_state:?}"), self.clock.now().as_secs_f64());
-        self.cond.notify_all();
+        if inner.waiters > 0 {
+            self.cond.notify_all();
+        }
     }
 
     /// Block until `predicate(state)` holds or the real-time `timeout` elapses.
@@ -165,8 +172,13 @@ impl<S: StateModel> StateCell<S> {
                     .unwrap_or_else(|| format!("entity ended in {:?}", inner.current));
                 return Err(RuntimeError::Failed(reason));
             }
-            if Instant::now() >= deadline || self.cond.wait_until(&mut inner, deadline).timed_out()
-            {
+            let timed_out = Instant::now() >= deadline || {
+                inner.waiters += 1;
+                let result = self.cond.wait_until(&mut inner, deadline);
+                inner.waiters -= 1;
+                result.timed_out()
+            };
+            if timed_out {
                 if predicate(inner.current) {
                     return Ok(inner.current);
                 }

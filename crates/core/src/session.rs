@@ -24,7 +24,7 @@ use hpcml_sim::ids;
 use crate::data::DataManager;
 use crate::describe::{PilotDescription, ServiceDescription, ServicePlacement, TaskDescription};
 use crate::error::RuntimeError;
-use crate::executor::Executor;
+use crate::executor::{Executor, Job};
 use crate::metrics::RuntimeMetrics;
 use crate::pilot::PilotManager;
 use crate::records::{
@@ -32,7 +32,7 @@ use crate::records::{
 };
 use crate::scheduler::{Priority, Scheduler};
 use crate::service_manager::ServiceManager;
-use crate::states::PilotState;
+use crate::states::{PilotState, TaskState};
 use crate::task_manager::TaskManager;
 
 /// Session-wide configuration.
@@ -469,7 +469,8 @@ impl Session {
             ServicePlacement::LocalPilot => self.scheduler.lock().clone(),
             ServicePlacement::Remote(_) => None,
         };
-        self.executor.spawn_service(Arc::clone(&record), scheduler);
+        self.executor
+            .submit([Job::service(Arc::clone(&record), scheduler)]);
         Ok(ServiceHandle { record })
     }
 
@@ -498,23 +499,23 @@ impl Session {
         record
     }
 
-    /// Submit a task. Requires an active pilot.
+    /// Submit a task: a batch of one through [`Session::submit_tasks`]. Requires an
+    /// active pilot (without one, the task fails).
     pub fn submit_task(&self, description: TaskDescription) -> Result<TaskHandle, RuntimeError> {
-        self.ensure_open()?;
-        let record = self.new_task_record(description, self.active_platform());
-        let scheduler = self.scheduler.lock().clone();
-        self.executor.spawn_task(Arc::clone(&record), scheduler);
-        Ok(TaskHandle { record })
+        let mut handles = self.submit_tasks([description])?;
+        Ok(handles.pop().expect("one handle per submitted task"))
     }
 
     /// Submit a batch of tasks through the scheduler's batched admission path:
     /// dependency-free tasks with a satisfiable shape are enqueued as one burst —
     /// one queue-shard lock round-trip per touched shard instead of one per task —
-    /// and their executor threads consume the pre-admitted tickets, preserving the
-    /// batch's arrival order. Tasks with service dependencies or impossible shapes
-    /// fall back to the one-by-one path so they fail (or wait) individually. The
-    /// admission's fan-out shape is recorded as `task.admission.batch_size`,
-    /// `task.admission.shard_batch` and `task.admission.shard_wakeups` metrics.
+    /// and enter `Scheduling` right here, at admission. They then wait in the
+    /// executor's worker pool, without a thread, until a worker takes their ticket up
+    /// in arrival order. Tasks with service dependencies or impossible shapes (and
+    /// every task when no pilot is active) start on a worker right away, so they wait
+    /// or fail individually. The admission's fan-out shape is recorded as
+    /// `task.admission.batch_size`, `task.admission.shard_batch` and
+    /// `task.admission.shard_wakeups` metrics.
     pub fn submit_tasks(
         &self,
         descriptions: impl IntoIterator<Item = TaskDescription>,
@@ -522,70 +523,69 @@ impl Session {
         self.ensure_open()?;
         let descriptions: Vec<TaskDescription> = descriptions.into_iter().collect();
         let scheduler = self.scheduler.lock().clone();
-        let Some(scheduler) = scheduler else {
-            // No active pilot: each task fails in its own thread, exactly as with
-            // one-by-one submission.
-            return descriptions
-                .into_iter()
-                .map(|d| self.submit_task(d))
-                .collect();
-        };
         let batchable: Vec<bool> = descriptions
             .iter()
-            .map(|d| d.after_services.is_empty() && scheduler.admissible(&d.resources))
+            .map(|d| {
+                scheduler
+                    .as_ref()
+                    .is_some_and(|s| d.after_services.is_empty() && s.admissible(&d.resources))
+            })
             .collect();
-        if batchable.iter().filter(|b| **b).count() < 2 {
-            return descriptions
-                .into_iter()
-                .map(|d| self.submit_task(d))
+        let mut tickets = Vec::new().into_iter();
+        if let Some(scheduler) = scheduler.as_ref().filter(|_| batchable.contains(&true)) {
+            let requests: Vec<(hpcml_platform::ResourceRequest, Priority)> = descriptions
+                .iter()
+                .zip(&batchable)
+                .filter(|(_, batch)| **batch)
+                .map(|(d, _)| (d.resources, Priority::Task))
                 .collect();
-        }
-        let requests: Vec<(hpcml_platform::ResourceRequest, Priority)> = descriptions
-            .iter()
-            .zip(&batchable)
-            .filter(|(_, batch)| **batch)
-            .map(|(d, _)| (d.resources, Priority::Task))
-            .collect();
-        let admission = scheduler.submit_batch(&requests)?;
-        self.metrics
-            .record_scalar("task.admission.batch_size", admission.tickets.len() as f64);
-        for (batched, woken) in admission.shard_batches.iter().zip(&admission.shard_wakeups) {
-            if *batched > 0 {
-                self.metrics
-                    .record_scalar("task.admission.shard_batch", *batched as f64);
-            }
-            if *woken > 0 {
-                self.metrics
-                    .record_scalar("task.admission.shard_wakeups", *woken as f64);
-            }
-        }
-        let platform = self.active_platform();
-        let mut tickets = admission.tickets.into_iter();
-        let mut handles = Vec::with_capacity(descriptions.len());
-        for (description, batch) in descriptions.into_iter().zip(batchable) {
-            if batch {
-                let ticket = tickets.next().expect("one ticket per batched task");
-                let record = self.new_task_record(description, platform);
-                self.executor.spawn_task_admitted(
-                    Arc::clone(&record),
-                    Arc::clone(&scheduler),
-                    ticket,
-                );
-                handles.push(TaskHandle { record });
-            } else {
-                match self.submit_task(description) {
-                    Ok(handle) => handles.push(handle),
-                    Err(e) => {
-                        // Return the not-yet-spawned tickets so they don't block
-                        // their shards' FIFOs.
-                        for ticket in tickets {
-                            scheduler.cancel_admitted(ticket);
-                        }
-                        return Err(e);
-                    }
+            let admission = scheduler.submit_batch(&requests)?;
+            self.metrics
+                .record_scalar("task.admission.batch_size", admission.tickets.len() as f64);
+            for (batched, woken) in admission.shard_batches.iter().zip(&admission.shard_wakeups) {
+                if *batched > 0 {
+                    self.metrics
+                        .record_scalar("task.admission.shard_batch", *batched as f64);
+                }
+                if *woken > 0 {
+                    self.metrics
+                        .record_scalar("task.admission.shard_wakeups", *woken as f64);
                 }
             }
+            tickets = admission.tickets.into_iter();
         }
+        let platform = self.active_platform();
+        let mut jobs = Vec::with_capacity(descriptions.len());
+        let mut handles = Vec::with_capacity(descriptions.len());
+        for (description, batch) in descriptions.into_iter().zip(&batchable) {
+            let record = self.new_task_record(description, platform);
+            jobs.push(match (&scheduler, batch) {
+                (Some(scheduler), true) => {
+                    // Queue wait from here on is placement wait: the task is
+                    // Scheduling from admission, whether or not a worker holds it.
+                    record
+                        .state
+                        .transition(TaskState::Scheduling)
+                        .expect("a new task record can enter Scheduling");
+                    let ticket = tickets.next().expect("one ticket per batched task");
+                    Job::admitted(Arc::clone(&record), Arc::clone(scheduler), ticket)
+                }
+                _ => Job::task(Arc::clone(&record), scheduler.clone()),
+            });
+            handles.push(TaskHandle { record });
+        }
+        // The admitted tasks' Scheduling updates go out before any worker can
+        // publish a later state for them.
+        self.executor.publish_states(
+            "task",
+            handles
+                .iter()
+                .zip(&batchable)
+                .filter(|(_, batch)| **batch)
+                .map(|(handle, _)| handle.record.id.as_str()),
+            "Scheduling",
+        );
+        self.executor.submit(jobs);
         Ok(handles)
     }
 
@@ -594,8 +594,8 @@ impl Session {
         self.task_manager.wait_all(timeout).map(|_| ())
     }
 
-    /// Orderly shutdown: stop all services, wait for all entity threads, terminate
-    /// pilots. Idempotent.
+    /// Orderly shutdown: stop all services, wait for every queued and running entity
+    /// lifecycle and retire the executor's workers, terminate pilots. Idempotent.
     pub fn close(&self) {
         if self.closed.swap(true, Ordering::AcqRel) {
             return;
@@ -736,6 +736,104 @@ mod tests {
         assert!(handles.iter().all(|h| h.state() == TaskState::Done));
         assert!(format!("{s:?}").contains("tasks"));
         s.close();
+    }
+
+    #[test]
+    fn worker_threads_stay_bounded_by_live_entities_not_tasks_submitted() {
+        let s = Session::builder("bounded")
+            .platform(PlatformId::Local)
+            .clock(ClockSpec::scaled(10_000.0))
+            .scheduler_queue_shards(1)
+            .build()
+            .unwrap();
+        s.submit_pilot(PilotDescription::new(PlatformId::Local).nodes(1))
+            .unwrap();
+        let handles = s
+            .submit_tasks((0..2000).map(|i| {
+                TaskDescription::new(format!("t{i}"))
+                    .kind(TaskKind::compute_secs(0.1))
+                    .cores(1)
+            }))
+            .unwrap();
+        s.wait_tasks(Duration::from_secs(120)).unwrap();
+        assert!(handles.iter().all(|h| h.state() == TaskState::Done));
+        // At most one worker per running task (one core each) plus one per
+        // placement role (lookahead x queue shards).
+        let bound = PlatformId::Local.spec().node.cores as usize
+            + s.config().scheduler_lookahead * s.config().scheduler_queue_shards.unwrap();
+        let workers = s.metrics().scalar_values("executor.workers");
+        assert!(!workers.is_empty(), "spawns are recorded");
+        let peak = workers.iter().copied().fold(0.0, f64::max) as usize;
+        assert!(peak <= bound, "peak {peak} live workers > bound {bound}");
+        s.close();
+    }
+
+    /// A two-node gang heads a burst it cannot place yet (a client task holds half a
+    /// node until its service appears); the narrow tasks behind it must still place
+    /// and finish through the lookahead window, and the gang must place once the
+    /// client releases its cores, within its overtake budget.
+    fn narrow_tasks_pass_a_waiting_gang(queue_shards: usize) {
+        let s = Session::builder("window")
+            .platform(PlatformId::Local)
+            .clock(ClockSpec::scaled(1000.0))
+            .scheduler_lookahead(4)
+            .scheduler_queue_shards(queue_shards)
+            .build()
+            .unwrap();
+        s.submit_pilot(PilotDescription::new(PlatformId::Local).nodes(2))
+            .unwrap();
+        let blocker = s
+            .submit_task(
+                TaskDescription::new("blocker")
+                    .kind(TaskKind::inference_client("late-svc", 1))
+                    .cores(4),
+            )
+            .unwrap();
+        blocker
+            .record
+            .state
+            .wait_until(|st| st == TaskState::Executing, Duration::from_secs(30))
+            .unwrap();
+        let burst = std::iter::once(
+            TaskDescription::new("gang")
+                .kind(TaskKind::compute_secs(1.0))
+                .cores(8)
+                .nodes(2),
+        )
+        .chain((0..12).map(|i| {
+            TaskDescription::new(format!("narrow-{i}"))
+                .kind(TaskKind::compute_secs(0.5))
+                .cores(1)
+        }));
+        let handles = s.submit_tasks(burst).unwrap();
+        let (gang, narrow) = handles.split_first().unwrap();
+        for h in narrow {
+            h.wait_done_timeout(Duration::from_secs(30)).unwrap();
+        }
+        assert_eq!(gang.state(), TaskState::Scheduling, "the gang still waits");
+        s.submit_service(
+            ServiceDescription::new("late-svc")
+                .model(ModelSpec::noop())
+                .remote(PlatformId::R3Cloud),
+        )
+        .unwrap();
+        gang.wait_done_timeout(Duration::from_secs(60)).unwrap();
+        assert_eq!(blocker.state(), TaskState::Done);
+        let overtakes = s.metrics().scalar_values("task.gang.overtakes");
+        let budget = f64::from(s.config().scheduler_max_overtakes.unwrap());
+        assert_eq!(overtakes.len(), 1);
+        assert!(overtakes[0] <= budget, "overtakes {overtakes:?} > {budget}");
+        s.close();
+    }
+
+    #[test]
+    fn narrow_tasks_pass_a_waiting_gang_at_one_queue_shard() {
+        narrow_tasks_pass_a_waiting_gang(1);
+    }
+
+    #[test]
+    fn narrow_tasks_pass_a_waiting_gang_at_four_queue_shards() {
+        narrow_tasks_pass_a_waiting_gang(4);
     }
 
     #[test]

@@ -78,21 +78,39 @@ impl TaskManager {
             .count()
     }
 
-    /// Block (polling every few milliseconds of real time) until every registered task
-    /// reached a terminal state or `timeout` elapses. Returns the per-state counts.
+    /// Block until every registered task reached a terminal state or `timeout`
+    /// elapses, waiting on each record's state in turn (no polling). Tasks
+    /// registered during the wait are waited for too. Returns the per-state counts.
     pub fn wait_all(&self, timeout: Duration) -> Result<BTreeMap<TaskState, usize>, RuntimeError> {
         let deadline = Instant::now() + timeout;
         loop {
-            if self.finished() == self.len() {
+            let (registered, pending): (usize, Vec<Arc<TaskRecord>>) = {
+                let tasks = self.tasks.read();
+                let pending = tasks
+                    .values()
+                    .filter(|r| !r.state.current().is_final())
+                    .cloned()
+                    .collect();
+                (tasks.len(), pending)
+            };
+            for record in pending {
+                let remaining = deadline.saturating_duration_since(Instant::now());
+                if record
+                    .state
+                    .wait_until(TaskState::is_final, remaining)
+                    .is_err()
+                {
+                    return Err(RuntimeError::WaitTimeout {
+                        entity: "task manager".to_string(),
+                        awaited: "all tasks final".to_string(),
+                    });
+                }
+            }
+            // Final states are absorbing, so only tasks added meanwhile can be
+            // pending now.
+            if self.len() == registered {
                 return Ok(self.state_counts());
             }
-            if Instant::now() >= deadline {
-                return Err(RuntimeError::WaitTimeout {
-                    entity: "task manager".to_string(),
-                    awaited: "all tasks final".to_string(),
-                });
-            }
-            std::thread::sleep(Duration::from_millis(2));
         }
     }
 }
@@ -151,6 +169,40 @@ mod tests {
         tm.add(record("task.0"));
         let err = tm.wait_all(Duration::from_millis(20)).unwrap_err();
         assert!(matches!(err, RuntimeError::WaitTimeout { .. }));
+    }
+
+    #[test]
+    fn wait_all_times_out_on_the_one_task_left_running() {
+        let tm = Arc::new(TaskManager::new());
+        let done = record("task.0");
+        let stuck = record("task.1");
+        tm.add(Arc::clone(&done));
+        tm.add(Arc::clone(&stuck));
+        done.state.fail(TaskState::Canceled, "not needed");
+        stuck.state.transition(TaskState::Scheduling).unwrap();
+        let started = std::time::Instant::now();
+        let err = tm.wait_all(Duration::from_millis(50)).unwrap_err();
+        assert!(matches!(err, RuntimeError::WaitTimeout { .. }));
+        assert!(started.elapsed() >= Duration::from_millis(50));
+    }
+
+    #[test]
+    fn wait_all_covers_tasks_added_during_the_wait() {
+        let tm = Arc::new(TaskManager::new());
+        let first = record("task.0");
+        tm.add(Arc::clone(&first));
+        let tm2 = Arc::clone(&tm);
+        let waiter = thread::spawn(move || tm2.wait_all(Duration::from_secs(5)));
+        thread::sleep(Duration::from_millis(10));
+        let late = record("task.1");
+        tm.add(Arc::clone(&late));
+        first.state.fail(TaskState::Failed, "broken");
+        thread::sleep(Duration::from_millis(10));
+        assert!(!waiter.is_finished(), "the late task is still running");
+        late.state.fail(TaskState::Canceled, "stopped");
+        let counts = waiter.join().unwrap().unwrap();
+        assert_eq!(counts[&TaskState::Failed], 1);
+        assert_eq!(counts[&TaskState::Canceled], 1);
     }
 
     #[test]

@@ -29,10 +29,12 @@ impl IdGenerator {
     /// Next numeric index within `namespace` (starts at 0).
     pub fn next_index(&self, namespace: &str) -> u64 {
         let mut map = self.counters.lock();
-        let counter = map.entry(namespace.to_string()).or_insert(0);
-        let v = *counter;
-        *counter += 1;
-        v
+        if let Some(counter) = map.get_mut(namespace) {
+            *counter += 1;
+            return *counter - 1;
+        }
+        map.insert(namespace.to_string(), 1);
+        0
     }
 
     /// Next formatted identifier, e.g. `next_id("task")` → `"task.000007"`.
