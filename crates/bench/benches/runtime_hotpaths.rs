@@ -83,7 +83,7 @@ fn bench_scheduler(c: &mut Criterion) {
         let req = ResourceRequest::cores(4).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
             b.iter(|| {
-                let slot = scheduler
+                let (slot, _) = scheduler
                     .allocate(&req, Priority::Task, Duration::from_secs(1))
                     .unwrap();
                 scheduler.release(&slot).unwrap();
@@ -123,7 +123,7 @@ fn bench_gang_allocate(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
             b.iter(|| {
-                let slot = scheduler
+                let (slot, _) = scheduler
                     .allocate(&req, Priority::Task, Duration::from_secs(1))
                     .unwrap();
                 scheduler.release(&slot).unwrap();
@@ -162,14 +162,14 @@ fn bench_gang_partial(c: &mut Criterion) {
         let req = ResourceRequest::cores(spec.cores / 2 - 1)
             .unwrap()
             .with_nodes(2);
-        let probe = scheduler
+        let (probe, _) = scheduler
             .allocate(&req, Priority::Task, Duration::from_secs(1))
             .unwrap();
         assert_eq!(probe.partial_nodes(), 2, "members must be co-resident");
         scheduler.release(&probe).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
             b.iter(|| {
-                let slot = scheduler
+                let (slot, _) = scheduler
                     .allocate(&req, Priority::Task, Duration::from_secs(1))
                     .unwrap();
                 scheduler.release(&slot).unwrap();
@@ -252,20 +252,15 @@ fn bench_resize(c: &mut Criterion) {
 }
 
 /// Multi-thread allocate/release churn on a 256-node allocation, swept across
-/// thread counts (1/2/4/8/16), contrasting the sharded configurations against
-/// their single-lock baselines on both axes. `sharded` pins 16 allocator shards
-/// — what the default derivation yields for 256 nodes on a ≥16-core host,
-/// pinned explicitly so the sweep measures the same structure on any machine —
-/// with a single queue shard; `single` pins `allocator_shards = 1` (the
-/// pre-sharding allocator, bit for bit); `queue_sharded` keeps the 16 allocator
-/// shards and stripes the scheduler front-end into 16 queue shards, so the
-/// `queue_sharded` vs `sharded` gap isolates the *wait-queue lock* contention
-/// the queue sharding exists to cut (both pin identical allocators). Capacity
+/// thread counts (1/2/4/8/16), contrasting the sharded allocator against its
+/// single-lock baseline. `sharded` pins 16 allocator shards — what the default
+/// derivation yields for 256 nodes on a ≥16-core host, pinned explicitly so the
+/// sweep measures the same structure on any machine; `single` pins
+/// `allocator_shards = 1` (the pre-sharding allocator, bit for bit). Capacity
 /// always exceeds demand, so every allocation takes the queueless fast path;
 /// parked-waiter wakeups are measured separately by `bench_scheduler_waitqueue`.
-/// `scripts/bench_guard.sh` asserts the group's existence, that 8-thread
-/// sharded churn beats the 1-shard baseline, and that 8-thread queue-sharded
-/// churn beats the 1-queue-shard baseline.
+/// `scripts/bench_guard.sh` asserts the group's existence and that 8-thread
+/// sharded churn beats the 1-shard baseline.
 fn bench_scheduler_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler/churn");
     group.sample_size(10);
@@ -274,19 +269,14 @@ fn bench_scheduler_churn(c: &mut Criterion) {
     // configurations) does not dilute the lock-contention signal the speedup
     // guard measures.
     const OPS_PER_THREAD: usize = 1024;
-    for (label, alloc_shards, queue_shards) in [
-        ("sharded", 16usize, 1usize),
-        ("single", 1, 1),
-        ("queue_sharded", 16, 16),
-    ] {
+    for (label, alloc_shards) in [("sharded", 16usize), ("single", 1)] {
         for threads in [1usize, 2, 4, 8, 16] {
             let batch = BatchSystem::new(wide_spec(NODES), ClockSpec::Manual.build(), 1);
             let alloc = batch
                 .submit(AllocationRequest::nodes(NODES).with_allocator_shards(alloc_shards))
                 .unwrap();
             assert_eq!(alloc.num_shards(), alloc_shards);
-            let scheduler = Arc::new(Scheduler::new(alloc).with_queue_shards(Some(queue_shards)));
-            assert_eq!(scheduler.queue_shards(), queue_shards);
+            let scheduler = Arc::new(Scheduler::new(alloc));
             group.bench_with_input(BenchmarkId::new(label, threads), &threads, |b, &threads| {
                 b.iter(|| {
                     let mut handles = Vec::new();
@@ -295,7 +285,7 @@ fn bench_scheduler_churn(c: &mut Criterion) {
                         handles.push(std::thread::spawn(move || {
                             let req = ResourceRequest::cores(4).unwrap();
                             for _ in 0..OPS_PER_THREAD {
-                                let slot = s
+                                let (slot, _) = s
                                     .allocate(&req, Priority::Task, Duration::from_secs(10))
                                     .unwrap();
                                 s.release(&slot).unwrap();
@@ -331,7 +321,7 @@ fn bench_scheduler_waitqueue(c: &mut Criterion) {
                 handles.push(std::thread::spawn(move || {
                     let req = ResourceRequest::cores(48).unwrap();
                     for _ in 0..32 {
-                        let slot = s
+                        let (slot, _) = s
                             .allocate(&req, Priority::Task, Duration::from_secs(30))
                             .unwrap();
                         s.release(&slot).unwrap();
@@ -348,13 +338,12 @@ fn bench_scheduler_waitqueue(c: &mut Criterion) {
 
 /// Admission overhead of a 10⁴-submission burst against a *full* allocation, so
 /// nothing places and the bench isolates pure queue admission + retirement:
-/// `batched` admits the burst through `submit_batch` (one shard-lock round trip
-/// for the whole queue) and retires the tickets with `cancel_admitted`;
+/// `batched` admits the burst through `submit_batch` (one queue-lock round trip
+/// for the whole burst) and retires the tickets with `cancel_admitted`;
 /// `individual` runs the same requests through `allocate` with a zero timeout —
 /// per request: an enqueue, two failed placement scans, a dequeue, and a window
-/// wake. Both pin one queue shard so the comparison is lock-round-trip count,
-/// not striping. `scripts/bench_guard.sh` asserts the datapoints exist and that
-/// the batched path beats the individual path.
+/// wake. `scripts/bench_guard.sh` asserts the datapoints exist and that the
+/// batched path beats the individual path.
 fn bench_admission_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler/admission_batch");
     group.sample_size(10);
@@ -375,14 +364,13 @@ fn bench_admission_batch(c: &mut Criterion) {
     let _held: Vec<_> = (0..NODES)
         .map(|_| alloc.allocate_slot(&whole).unwrap())
         .collect();
-    let scheduler = Arc::new(Scheduler::new(alloc).with_queue_shards(Some(1)));
+    let scheduler = Arc::new(Scheduler::new(alloc));
     let req = ResourceRequest::cores(4).unwrap();
     let requests: Vec<(ResourceRequest, Priority)> =
         (0..BURST).map(|_| (req, Priority::Task)).collect();
     group.bench_function(BenchmarkId::new("batched", BURST), |b| {
         b.iter(|| {
-            let admission = scheduler.submit_batch(&requests).unwrap();
-            for ticket in admission.tickets {
+            for ticket in scheduler.submit_batch(&requests).unwrap() {
                 scheduler.cancel_admitted(ticket);
             }
         })

@@ -17,16 +17,16 @@
 //! loop.
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use hpcml_sim::metrics::SharedSink;
 use std::time::Duration;
 
 use crate::error::CommError;
-use crate::metrics::SharedCommSink;
 
 /// Sending half of a [`WorkQueue`].
 pub struct WorkQueueSender<T> {
     tx: Sender<T>,
     name: String,
-    sink: Option<SharedCommSink>,
+    sink: Option<SharedSink>,
 }
 
 impl<T> Clone for WorkQueueSender<T> {
@@ -49,7 +49,7 @@ impl<T> std::fmt::Debug for WorkQueueSender<T> {
 
 impl<T> WorkQueueSender<T> {
     /// Attach a metrics sink; every push records `comm.queue.depth` (post-push depth).
-    pub fn with_sink(mut self, sink: SharedCommSink) -> Self {
+    pub fn with_sink(mut self, sink: SharedSink) -> Self {
         self.sink = Some(sink);
         self
     }

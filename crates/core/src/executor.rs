@@ -11,10 +11,10 @@
 //!
 //! Services and tasks without an admission ticket get a worker right away: they block
 //! on readiness relations before they hold a FIFO place. A batch-admitted task waits in
-//! the pool as a plain job, with no thread, in the *lane* of its scheduler queue shard.
-//! Per lane at most [`Scheduler::lookahead`] workers block in placement, and they hold
-//! that shard's oldest unplaced tickets: exactly the scheduler's serve window, so
-//! nothing the window could place is left without a thread. A worker leaving placement
+//! the pool as a plain job, with no thread, in the *lane* of its scheduler. Per lane at
+//! most [`Scheduler::lookahead`] workers block in placement, and they hold the wait
+//! queue's oldest unplaced tickets: exactly the scheduler's serve window, so nothing
+//! the window could place is left without a thread. A worker leaving placement
 //! (slot granted, or error) hands the role to the lane's next ticket by waking an idle
 //! worker, or by spawning one only when no worker is idle or about to finish its job.
 //! Threads therefore track the peak number of concurrently live entities, not the
@@ -148,10 +148,10 @@ impl Job {
 
     /// The pool lane an admitted job waits in, with the lane's role window.
     fn lane(&self) -> Option<(LaneKey, usize)> {
-        let ((ticket, _), scheduler) = self.admission.as_ref().zip(self.scheduler.as_ref())?;
+        self.admission.as_ref()?;
+        let scheduler = self.scheduler.as_ref()?;
         let key = LaneKey {
             scheduler: Arc::as_ptr(scheduler) as usize,
-            shard: ticket.shard(),
         };
         Some((key, scheduler.lookahead()))
     }
@@ -250,8 +250,8 @@ impl Executor {
         self.publisher.publish_batch(&msgs);
     }
 
-    /// Queue entity lifecycles on the worker pool. Admitted tasks wait in their queue
-    /// shard's lane until a placement role is free; every other job starts on a
+    /// Queue entity lifecycles on the worker pool. Admitted tasks wait in their
+    /// scheduler's lane until a placement role is free; every other job starts on a
     /// worker right away.
     pub fn submit(self: &Arc<Self>, jobs: impl IntoIterator<Item = Job>) {
         let spawn = self.pool.push(jobs.into_iter().map(|job| {
@@ -313,7 +313,10 @@ impl Executor {
             Entity::PanickingTask(record) => {
                 let scheduler = scheduler.as_ref().expect("admitted jobs carry a scheduler");
                 let (ticket, _) = admission.expect("an admitted job");
-                *record.slot.lock() = scheduler.allocate_admitted(ticket, DEPENDENCY_TIMEOUT).ok();
+                *record.slot.lock() = scheduler
+                    .allocate_admitted(ticket, DEPENDENCY_TIMEOUT)
+                    .ok()
+                    .map(|(slot, _)| slot);
                 panic!("injected panic in {}", record.id);
             }
         }));
@@ -394,7 +397,7 @@ impl Executor {
                 RuntimeError::InvalidState("local service submitted without an active pilot".into())
             })?;
             let wait_start = Instant::now();
-            let slot =
+            let (slot, _) =
                 scheduler.allocate(&desc.resources, Priority::Service, DEPENDENCY_TIMEOUT)?;
             self.metrics.record_scalar(
                 "service.placement_wait_secs",
@@ -515,7 +518,7 @@ impl Executor {
         // Serve until asked to stop. Serving-plane metrics flow into the runtime
         // metrics store alongside the task/service scalars.
         let metrics = Arc::clone(&self.metrics);
-        let sink: hpcml_serving::SharedMetricsSink =
+        let sink: hpcml_sim::metrics::SharedSink =
             Arc::new(move |name: &str, value: f64| metrics.record_scalar(name, value));
         let service = InferenceService::with_config(
             record.description.name.clone(),
@@ -620,24 +623,16 @@ impl Executor {
         // its wait — and placement deadline — count from admission.
         let (wait_start, (slot, placement)) = if let Some((ticket, admitted_at)) = admission {
             let timeout = DEPENDENCY_TIMEOUT.saturating_sub(admitted_at.elapsed());
-            let placed = scheduler.allocate_admitted_with_stats(ticket, timeout);
+            let placed = scheduler.allocate_admitted(ticket, timeout);
             self.leave_placement(shift);
             (admitted_at, placed?)
         } else if requeue {
             let wait_start = Instant::now();
-            let placed = scheduler.requeue_with_stats(
-                &desc.resources,
-                Priority::Task,
-                DEPENDENCY_TIMEOUT,
-            )?;
+            let placed = scheduler.requeue(&desc.resources, Priority::Task, DEPENDENCY_TIMEOUT)?;
             (wait_start, placed)
         } else {
             let wait_start = Instant::now();
-            let placed = scheduler.allocate_with_stats(
-                &desc.resources,
-                Priority::Task,
-                DEPENDENCY_TIMEOUT,
-            )?;
+            let placed = scheduler.allocate(&desc.resources, Priority::Task, DEPENDENCY_TIMEOUT)?;
             (wait_start, placed)
         };
         *record.slot.lock() = Some(slot.clone());
@@ -1102,7 +1097,6 @@ mod tests {
             .scheduler
             .submit_batch(&[(req, Priority::Task), (req, Priority::Task)])
             .unwrap()
-            .tickets
             .into_iter();
         for record in [&doomed, &next] {
             record.state.transition(TaskState::Scheduling).unwrap();

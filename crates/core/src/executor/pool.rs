@@ -5,11 +5,12 @@
 //!
 //! * the **ready** queue: jobs a worker must start right away (services, and tasks
 //!   that do not hold an admission ticket);
-//! * one **lane** per scheduler queue shard: batch-admitted tasks in arrival order.
-//!   A lane hands out at most `window` (the scheduler's lookahead) **placement
-//!   roles** at a time, always to its oldest jobs. A worker holding a role blocks in
-//!   placement on its ticket; the set of role holders is therefore the shard's
-//!   serve window, and nothing the window could place is left without a thread.
+//! * one **lane** per scheduler: batch-admitted tasks in arrival order. A lane
+//!   hands out at most `window` (the scheduler's lookahead) **placement roles** at a
+//!   time, always to its oldest jobs. A worker holding a role blocks in placement on
+//!   its ticket, so at most `lookahead` workers block in placement, on the oldest
+//!   tickets: the scheduler's serve window. Nothing the window could place is left
+//!   without a thread.
 //!
 //! Wake-ups are counted as permits, not inferred from waiters: every runnable job
 //! is covered by a *promised* worker — an idle one handed a permit, a freshly
@@ -26,16 +27,14 @@ use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 
-/// Identifies a lane: a scheduler (by address) and one of its queue shards.
+/// Identifies a lane by the address of the scheduler its tickets belong to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct LaneKey {
     /// Address of the scheduler the tickets belong to.
     pub scheduler: usize,
-    /// Queue shard the tickets parked on.
-    pub shard: usize,
 }
 
-/// Batch-admitted jobs of one queue shard, oldest first.
+/// Batch-admitted jobs of one scheduler, oldest first.
 struct Lane<J> {
     key: LaneKey,
     /// How many workers may hold this lane's placement role at once.
@@ -318,18 +317,14 @@ impl Shift {
 mod tests {
     use super::*;
 
-    fn lane(shard: usize, window: usize) -> Option<(LaneKey, usize)> {
-        let key = LaneKey {
-            scheduler: 1,
-            shard,
-        };
-        Some((key, window))
+    fn lane(window: usize) -> Option<(LaneKey, usize)> {
+        Some((LaneKey { scheduler: 1 }, window))
     }
 
     #[test]
     fn lanes_hand_out_at_most_window_roles_oldest_first() {
         let pool: Pool<u32> = Pool::new();
-        let spawn = pool.push((0..5).map(|i| (i, lane(0, 2))));
+        let spawn = pool.push((0..5).map(|i| (i, lane(2))));
         assert_eq!(spawn.count, 2, "one worker per role of the window");
         let mut a = Shift::spawned();
         let mut b = Shift::spawned();
@@ -346,7 +341,7 @@ mod tests {
     #[test]
     fn a_returning_worker_is_promised_instead_of_spawning() {
         let pool: Pool<u32> = Pool::new();
-        let spawn = pool.push([(0, lane(0, 1)), (1, lane(0, 1))]);
+        let spawn = pool.push([(0, lane(1)), (1, lane(1))]);
         assert_eq!(spawn.count, 1);
         let mut placer = Shift::spawned();
         assert_eq!(pool.next(&mut placer), Some(0));

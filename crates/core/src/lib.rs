@@ -47,7 +47,7 @@
 //! let scheduler = Scheduler::new(alloc);
 //!
 //! let req = ResourceRequest::cores(2)?;
-//! let slot = scheduler.allocate(&req, Priority::Task, Duration::from_secs(1))?;
+//! let (slot, _stats) = scheduler.allocate(&req, Priority::Task, Duration::from_secs(1))?;
 //! assert_eq!(slot.num_cores(), 2);
 //! scheduler.release(&slot)?;
 //! assert_eq!(scheduler.outstanding_slots(), 0);

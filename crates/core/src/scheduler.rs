@@ -9,72 +9,51 @@
 //! * service priority (pending service placements starve ordinary tasks, not vice versa),
 //! * immediate rejection of requests that could never be satisfied by the node shape,
 //! * gang placement: a multi-node MPI request (`ResourceRequest::nodes > 1`) parks in
-//!   the same FIFO queues and is granted atomically once enough idle nodes exist,
-//! * batched admission: a burst of submissions enqueues under one lock round-trip per
-//!   touched queue shard ([`Scheduler::submit_batch`]) and places asynchronously.
+//!   the same FIFO queue and is granted atomically once enough idle nodes exist,
+//! * batched admission: a burst of submissions enqueues under one lock round-trip
+//!   ([`Scheduler::submit_batch`]) and places asynchronously.
 //!
-//! ## Sharded wait-queue front-end
+//! ## Wait queue
 //!
-//! Waiters park in explicit FIFO queues and each waiter owns its own condition
-//! variable — its *wake slot*. A release notifies the waiters in the serve window
-//! instead of `notify_all`-ing every parked thread, so a free-capacity event costs at
-//! most `lookahead` targeted wakeups per shard regardless of queue depth (no
-//! thundering herd), and wakeup order is the arrival order. Newcomers never overtake
-//! parked waiters of their class: the fast path is only taken when no waiter of the
-//! relevant classes is parked, so arrival order is always recorded and the window
-//! below is the *only* overtaking mechanism.
+//! Waiters park in one arrival-ordered FIFO per priority class, behind one lock, and
+//! each waiter owns its own condition variable — its *wake slot*. A release notifies
+//! the waiters in the serve window instead of `notify_all`-ing every parked thread, so
+//! a free-capacity event costs at most `lookahead` targeted wakeups regardless of
+//! queue depth (no thundering herd), and wakeup order is the arrival order. Newcomers
+//! never overtake parked waiters of their class: the fast path is only taken when no
+//! waiter of the relevant classes is parked, so arrival order is always recorded and
+//! the window below is the *only* overtaking mechanism. While any service waits, only
+//! the service window is woken and no task places.
 //!
-//! The queues themselves are striped into [`Scheduler::queue_shards`] independently
-//! locked shards so that admission and wakeup traffic from many submitting threads
-//! stops serialising on one mutex (the allocator below was sharded first — see
-//! `AllocationRequest::with_allocator_shards` — which left this front-end as the
-//! remaining serial section):
-//!
-//! * **Shard key.** Services always park on shard 0: the service class is never
-//!   striped, because its absolute priority needs one authoritative arrival order.
-//!   Tasks are striped round-robin by an admission rotor, so each shard holds an
-//!   arrival-ordered subsequence of the task stream and per-shard FIFO is the sharded
-//!   relaxation of the global FIFO (exact at one shard).
-//! * **Service gate.** A cross-shard atomic count of parked services gates every
-//!   task-side decision — fast path, serve window, drain trigger, final attempt — so
-//!   tasks in *any* shard never place while a service waits, exactly as before.
-//! * **Drain gate.** The single active backfill reservation lives behind its own leaf
-//!   lock, acquired only while a shard lock is held (lock order: shard → drain gate →
-//!   allocation; shard locks are never nested). A parking service still cancels a
-//!   task-class drain through the gate regardless of which shard the gang parked on.
-//! * **Cross-shard wakeup order.** A departure or release first wakes the service
-//!   window on shard 0; only when no service waits does it fan out to the task
-//!   shards, visiting only shards with parked tasks (per-shard counters make the
-//!   skip cheap) and waking each shard's first `lookahead` tasks.
-//!
-//! With `queue_shards = 1` every waiter shares one shard and the behaviour is the
-//! bit-exact legacy single-queue scheduler — the escape hatch
-//! `SessionBuilder::scheduler_queue_shards(1)` pins it.
+//! The queue lock also guards the *drain gate*, the single active backfill
+//! reservation (see below), so every reservation change happens under it. Lock
+//! order: queue → allocation.
 //!
 //! ## Batched admission
 //!
 //! [`Scheduler::submit_batch`] admits a burst of requests in one pass: entries are
-//! validated, assigned their home shards, and appended queue-shard by queue-shard —
-//! one lock round-trip per *touched shard* instead of one per request — and the
-//! caller gets back one [`AdmissionTicket`] per entry. A ticket holds the waiter's
-//! place in its FIFO shard; [`Scheduler::allocate_admitted`] turns it into a slot
-//! (blocking like [`Scheduler::allocate`]) and [`Scheduler::cancel_admitted`]
-//! abandons it without placing (a ticket dropped on an error path would otherwise
-//! block its shard's FIFO forever). Admission records arrival order exactly like
-//! one-by-one submission, so a batch at one queue shard places identically to the
-//! same submissions made individually.
+//! validated and appended under one lock round-trip instead of one per request, and
+//! the caller gets back one [`AdmissionTicket`] per entry. A ticket holds the waiter's
+//! place in the FIFO; [`Scheduler::allocate_admitted`] turns it into a slot (blocking
+//! like [`Scheduler::allocate`]) and [`Scheduler::cancel_admitted`] abandons it without
+//! placing (a ticket dropped on an error path would otherwise block the FIFO behind it
+//! forever). Admission records arrival order exactly like one-by-one submission, so a
+//! batch places identically to the same submissions made individually.
+//!
+//! Every placement entry point returns the slot together with its
+//! [`PlacementStats`].
 //!
 //! ## Bounded lookahead
 //!
 //! Strict FIFO implies head-of-line blocking: a wide gang at the head parks narrow
 //! requests behind it even when they would fit right now. A scheduler built with
 //! [`Scheduler::with_lookahead`] relaxes FIFO *within* a priority class: the first `k`
-//! parked waiters of the serving class (per shard) may attempt placement, so a blocked
-//! wide gang lets smaller requests inside the window through while keeping its place
-//! at the head. Service priority stays absolute — tasks never place while any service
-//! waits, exactly as with `k = 1` — so the PR-1 guarantee that services are never
-//! starved by tasks holds for every window size. `k = 1` (the [`Scheduler::new`]
-//! default) is the strict-FIFO no-starvation behaviour.
+//! parked waiters of the serving class may attempt placement, so a blocked wide gang
+//! lets smaller requests inside the window through while keeping its place at the
+//! head. Service priority stays absolute — tasks never place while any service waits,
+//! exactly as with `k = 1` — so the guarantee that services are never starved by
+//! tasks holds for every window size. `k = 1` (the [`Scheduler::new`] default) is the
+//! strict-FIFO no-starvation behaviour.
 //!
 //! ## Gang backfill with ageing
 //!
@@ -93,13 +72,6 @@
 //! one member share (a full idle transition under [`GangPacking::Whole`]; any
 //! share-covering headroom under [`GangPacking::Partial`] — see the packing section
 //! below). Set both knobs to `None` to restore the pure PR-2 lookahead behaviour.
-//!
-//! With more than one queue shard, arrival order *across* task shards is not tracked,
-//! so a successful task placement conservatively ages the parked head of every other
-//! task shard one tick as well as the waiters ahead of it in its own shard. The head
-//! is what the drain trigger watches; erring toward draining sooner keeps starvation
-//! bounded exactly as with one shard (a gang whose shard sees no traffic would
-//! otherwise never drain while churn lands on sibling shards).
 //!
 //! ## Gang packing: whole vs partial nodes
 //!
@@ -123,10 +95,10 @@
 //! reservation on the way out, returning every pinned node to its headroom class.
 //! And because service priority is absolute, a *service* parking while a task-class
 //! reservation is active cancels that drain (the task head re-opens it once no
-//! service waits), so pinned nodes can never idle-block a waiting service. With
-//! multiple queue shards that cancellation can race the gang's own reserved
-//! placement attempt; the attempt then reports `UnknownDrain` and the gang falls
-//! back to plain waiting, exactly as if it had observed the cancellation first.
+//! service waits), so pinned nodes can never idle-block a waiting service. The
+//! cancellation happens under the queue lock, which the draining gang holds from
+//! its gate check to its reserved placement attempt, so the gang always observes it
+//! before its next attempt.
 //!
 //! One further deliberate deviation: a waiter whose timeout expires makes one explicit
 //! final allocation attempt even when it is outside the window (services still shield
@@ -139,19 +111,19 @@
 //! When a node fails, its co-resident slots are evicted by the allocation
 //! ([`hpcml_platform::batch::Allocation::fail_node`]) and their owners discover the
 //! loss through [`Scheduler::slot_lost`]. A victim re-enters placement through
-//! [`Scheduler::requeue`], which parks at the *front* of its priority-class queue
-//! (on a freshly assigned shard): the task already waited its turn once, so the
-//! failure must not send it to the back behind arrivals it had previously beaten.
-//! [`Scheduler::release`] tolerates [`ResourceError::NodeFailed`] — the allocation
-//! already reclaimed the slot's resources on eviction, so the scheduler still
-//! decrements its outstanding count and passes the wakeup on, surfacing the error
-//! only so the caller can tell the two paths apart. [`Scheduler::notify_capacity`]
-//! lets the pilot layer re-probe parked waiters after an allocation grows
+//! [`Scheduler::requeue`], which parks at the *front* of its priority-class queue:
+//! the task already waited its turn once, so the failure must not send it to the back
+//! behind arrivals it had previously beaten. [`Scheduler::release`] tolerates
+//! [`ResourceError::NodeFailed`] — the allocation already reclaimed the slot's
+//! resources on eviction, so the scheduler still decrements its outstanding count and
+//! passes the wakeup on, surfacing the error only so the caller can tell the two
+//! paths apart. [`Scheduler::notify_capacity`] lets the pilot layer re-probe parked
+//! waiters after an allocation grows
 //! ([`hpcml_platform::batch::Allocation::expand`]), which releases no slot and would
 //! otherwise wake nobody.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -165,17 +137,12 @@ use crate::error::RuntimeError;
 /// Default overtake budget before a parked head gang flips into draining mode.
 pub const DEFAULT_MAX_OVERTAKES: u32 = 16;
 
-/// Minimum attached nodes per queue shard when the shard count is derived rather
-/// than pinned: small allocations collapse to one shard (the exact legacy queue).
-const MIN_NODES_PER_QUEUE_SHARD: usize = 16;
-
 /// One parked placement request: a dedicated condition variable the releaser can
 /// target, making wakeups O(1) and ordered.
 struct Waiter {
     cond: Condvar,
     /// How many later arrivals of this waiter's class placed while it stayed parked.
-    /// Mutated under the waiter's shard lock — and, cross-shard, by sibling-shard
-    /// placers that hold *their* shard lock — so it is atomic, not lock-protected.
+    /// Only changed under the queue lock; atomic because the waiter is shared.
     overtakes: AtomicU32,
 }
 
@@ -198,15 +165,33 @@ struct ActiveDrain {
     priority: Priority,
 }
 
-/// One wait-queue shard: arrival-ordered FIFO queues per priority class. Services
-/// only ever populate shard 0; the per-class split is kept per shard so the wait
-/// loop's position probes stay class-local.
+/// The wait queue: arrival-ordered FIFO queues per priority class, plus the drain
+/// gate, all behind the scheduler's one queue lock.
 #[derive(Default)]
-struct ShardState {
-    /// Service placements waiting for resources, in arrival order (shard 0 only).
+struct Queues {
+    /// Service placements waiting for resources, in arrival order.
     services: VecDeque<Arc<Waiter>>,
-    /// Task placements waiting for resources, in arrival order within this shard.
+    /// Task placements waiting for resources, in arrival order.
     tasks: VecDeque<Arc<Waiter>>,
+    /// The drain gate: the single active backfill reservation, mirroring the
+    /// allocation's drain and changed only together with it.
+    drain: Option<ActiveDrain>,
+}
+
+impl Queues {
+    fn class(&self, priority: Priority) -> &VecDeque<Arc<Waiter>> {
+        match priority {
+            Priority::Service => &self.services,
+            Priority::Task => &self.tasks,
+        }
+    }
+
+    fn class_mut(&mut self, priority: Priority) -> &mut VecDeque<Arc<Waiter>> {
+        match priority {
+            Priority::Service => &mut self.services,
+            Priority::Task => &mut self.tasks,
+        }
+    }
 }
 
 /// Priority class of a placement request.
@@ -234,24 +219,18 @@ pub struct PlacementStats {
 }
 
 /// A parked waiter created by [`Scheduler::submit_batch`]: the request already
-/// holds its FIFO place in its queue shard. Consume it with
+/// holds its FIFO place in the wait queue. Consume it with
 /// [`Scheduler::allocate_admitted`] to block until placement, or return it with
-/// [`Scheduler::cancel_admitted`] — an abandoned ticket would otherwise sit at its
-/// shard's head forever, blocking the FIFO behind it.
+/// [`Scheduler::cancel_admitted`] — an abandoned ticket would otherwise sit at the
+/// queue head forever, blocking the FIFO behind it.
 #[must_use = "an admitted request must be placed via allocate_admitted or returned via cancel_admitted"]
 pub struct AdmissionTicket {
     waiter: Arc<Waiter>,
-    shard: usize,
     req: ResourceRequest,
     priority: Priority,
 }
 
 impl AdmissionTicket {
-    /// The queue shard this ticket's waiter parked on.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
     /// The priority class the request was admitted under.
     pub fn priority(&self) -> Priority {
         self.priority
@@ -261,56 +240,27 @@ impl AdmissionTicket {
 impl std::fmt::Debug for AdmissionTicket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AdmissionTicket")
-            .field("shard", &self.shard)
             .field("priority", &self.priority)
             .finish()
     }
 }
 
-/// The result of one [`Scheduler::submit_batch`] call: the per-request tickets plus
-/// the admission's fan-out shape, which the session surfaces as
-/// `task.admission.shard_batch` / `task.admission.shard_wakeups` metrics.
-#[derive(Debug)]
-pub struct BatchAdmission {
-    /// One ticket per submitted request, in submission order.
-    pub tickets: Vec<AdmissionTicket>,
-    /// How many of the batch's waiters were appended to each queue shard.
-    pub shard_batches: Vec<usize>,
-    /// Targeted wakeups per shard issued by the post-admission window wake.
-    pub shard_wakeups: Vec<usize>,
-}
-
 /// Scheduler bound to one pilot allocation.
 ///
-/// Lock order: queue shard → drain gate → allocation. Shard locks are never
-/// nested; cross-shard work (wakeup fan-out, head ageing) visits shards one at a
-/// time with no other shard lock held.
+/// Lock order: queue → allocation.
 pub struct Scheduler {
     allocation: Arc<Allocation>,
-    /// Wait-queue shards. Shard 0 holds every parked service; tasks are striped by
-    /// the admission rotor.
-    shards: Vec<Mutex<ShardState>>,
-    /// The drain gate: the single active backfill reservation (mirrors the
-    /// allocation's drain and is mutated only together with it, under this lock,
-    /// itself only taken while a shard lock is held).
-    drain: Mutex<Option<ActiveDrain>>,
-    /// Parked services across all shards (always shard 0) — the cross-shard service
-    /// gate every task-side decision reads.
+    /// The wait queue and the drain gate.
+    queues: Mutex<Queues>,
+    /// Parked services. Changed under the queue lock; read without it by the
+    /// release path, which skips the lock when nobody waits.
     waiting_services: AtomicUsize,
-    /// Parked tasks across all shards.
+    /// Parked tasks, maintained like `waiting_services`.
     waiting_tasks: AtomicUsize,
-    /// Parked tasks per shard, so wakeup fan-out can skip empty shards without
-    /// taking their locks.
-    shard_tasks: Vec<AtomicUsize>,
-    /// Targeted wakeups issued per shard (observability: `shard_wakeup_counts`).
-    shard_wakeups: Vec<AtomicU64>,
     /// Total slots handed out and not yet released (for observability).
     outstanding: AtomicUsize,
-    /// Round-robin task shard assignment.
-    rotor: AtomicUsize,
-    /// Serve window: how many parked waiters of the serving class (per shard) may
-    /// attempt a placement. 1 = strict FIFO; service priority is absolute at every
-    /// size.
+    /// Serve window: how many parked waiters of the serving class may attempt a
+    /// placement. 1 = strict FIFO; service priority is absolute at every size.
     lookahead: usize,
     /// Overtake budget before a parked head gang flips to draining (`None` = never
     /// drain on overtakes).
@@ -331,7 +281,6 @@ impl std::fmt::Debug for Scheduler {
             .field("waiting_services", &self.waiting_services())
             .field("waiting_tasks", &self.waiting_tasks())
             .field("outstanding_slots", &self.outstanding_slots())
-            .field("queue_shards", &self.queue_shards())
             .field("lookahead", &self.lookahead)
             .finish()
     }
@@ -346,56 +295,19 @@ impl Scheduler {
     /// Create a scheduler serving the first `lookahead` parked waiters of the
     /// serving class that fit (head-of-line relief for mixed request widths within a
     /// priority class; tasks still never overtake a waiting service). Clamped to at
-    /// least 1. The queue-shard count is derived from the host parallelism and the
-    /// allocation's node count — pin it with [`Scheduler::with_queue_shards`].
+    /// least 1.
     pub fn with_lookahead(allocation: Arc<Allocation>, lookahead: usize) -> Self {
-        let queue_shards = Scheduler::derived_queue_shards(&allocation);
-        let mut scheduler = Scheduler {
+        Scheduler {
             allocation,
-            shards: Vec::new(),
-            drain: Mutex::new(None),
+            queues: Mutex::new(Queues::default()),
             waiting_services: AtomicUsize::new(0),
             waiting_tasks: AtomicUsize::new(0),
-            shard_tasks: Vec::new(),
-            shard_wakeups: Vec::new(),
             outstanding: AtomicUsize::new(0),
-            rotor: AtomicUsize::new(0),
             lookahead: lookahead.max(1),
             max_overtakes: Some(DEFAULT_MAX_OVERTAKES),
             gang_drain_after: None,
             gang_packing: GangPacking::default(),
-        };
-        scheduler.resize_shards(queue_shards);
-        scheduler
-    }
-
-    /// The derived queue-shard count: one shard per `MIN_NODES_PER_QUEUE_SHARD`
-    /// attached nodes, capped by the host parallelism — small allocations collapse
-    /// to one shard, reproducing the single-queue scheduler exactly.
-    fn derived_queue_shards(allocation: &Allocation) -> usize {
-        let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-        parallelism
-            .min(allocation.num_nodes() / MIN_NODES_PER_QUEUE_SHARD)
-            .max(1)
-    }
-
-    fn resize_shards(&mut self, count: usize) {
-        let count = count.max(1);
-        self.shards = (0..count)
-            .map(|_| Mutex::new(ShardState::default()))
-            .collect();
-        self.shard_tasks = (0..count).map(|_| AtomicUsize::new(0)).collect();
-        self.shard_wakeups = (0..count).map(|_| AtomicU64::new(0)).collect();
-    }
-
-    /// Set the wait-queue shard count: `Some(n)` pins it (clamped to at least 1,
-    /// with `Some(1)` as the bit-exact legacy single-queue escape hatch); `None`
-    /// re-derives it from the host parallelism and the allocation's node count.
-    /// Builder-time only — must be called before any waiter parks.
-    pub fn with_queue_shards(mut self, shards: Option<usize>) -> Self {
-        let count = shards.unwrap_or_else(|| Scheduler::derived_queue_shards(&self.allocation));
-        self.resize_shards(count);
-        self
+        }
     }
 
     /// Set the session-level default gang packing policy: [`GangPacking::Partial`]
@@ -451,11 +363,6 @@ impl Scheduler {
         self.gang_packing
     }
 
-    /// Number of wait-queue shards (1 = the legacy single-queue front-end).
-    pub fn queue_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of slots currently handed out.
     pub fn outstanding_slots(&self) -> usize {
         self.outstanding.load(Ordering::Acquire)
@@ -466,32 +373,21 @@ impl Scheduler {
         self.waiting_services.load(Ordering::Acquire)
     }
 
-    /// Number of task placements currently waiting for resources (all shards).
+    /// Number of task placements currently waiting for resources.
     pub fn waiting_tasks(&self) -> usize {
         self.waiting_tasks.load(Ordering::Acquire)
     }
 
-    /// Cumulative targeted wakeups issued per queue shard since construction.
-    pub fn shard_wakeup_counts(&self) -> Vec<u64> {
-        self.shard_wakeups
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// The home shard for a new waiter: services always park on shard 0 (one
-    /// authoritative service arrival order); tasks stripe round-robin.
-    fn home_shard(&self, priority: Priority) -> usize {
+    fn waiting(&self, priority: Priority) -> &AtomicUsize {
         match priority {
-            Priority::Service => 0,
-            Priority::Task => self.rotor.fetch_add(1, Ordering::Relaxed) % self.shards.len(),
+            Priority::Service => &self.waiting_services,
+            Priority::Task => &self.waiting_tasks,
         }
     }
 
-    /// Whether a parked waiter at `position` within its class queue (in its shard)
-    /// may attempt a placement: within the first `lookahead` entries, and — for
-    /// tasks — only while no service waits anywhere (service priority is absolute
-    /// for every window size and shard count).
+    /// Whether a parked waiter at `position` within its class queue may attempt a
+    /// placement: within the first `lookahead` entries, and — for tasks — only while
+    /// no service waits (service priority is absolute for every window size).
     fn in_window(&self, priority: Priority, position: usize) -> bool {
         match priority {
             Priority::Service => position < self.lookahead,
@@ -502,12 +398,11 @@ impl Scheduler {
     }
 
     /// Whether the parked `waiter` — eligible but just denied a placement — should
-    /// flip into draining mode: it is a gang at the head of its class in its shard,
-    /// no other drain is active (`drain_free`: the gate was observed empty this
-    /// iteration), draining is enabled, and either its overtake budget is spent or
-    /// it has waited past the age threshold. A task head never opens a drain while
-    /// a service waits (the reservation would hold nodes the service must get
-    /// first).
+    /// flip into draining mode: it is a gang at the head of its class, no other
+    /// drain is active (`drain_free`), draining is enabled, and either its overtake
+    /// budget is spent or it has waited past the age threshold. A task head never
+    /// opens a drain while a service waits (the reservation would hold nodes the
+    /// service must get first).
     fn should_drain(
         &self,
         drain_free: bool,
@@ -535,94 +430,62 @@ impl Scheduler {
     /// Cancel the active drain when `condition` holds for it, returning its pinned
     /// nodes to the idle bucket. The owner discovers the loss on its next wakeup
     /// (its drain-gate ownership test fails) and falls back to plain waiting.
-    fn cancel_drain_if(&self, condition: impl Fn(&ActiveDrain) -> bool) {
-        let mut drain = self.drain.lock();
-        if drain.as_ref().is_some_and(condition) {
-            let active = drain.take().expect("checked above");
+    fn cancel_drain_if(&self, st: &mut Queues, condition: impl Fn(&ActiveDrain) -> bool) {
+        if st.drain.as_ref().is_some_and(condition) {
+            let active = st.drain.take().expect("checked above");
             let _ = self.allocation.cancel_drain(active.id);
         }
     }
 
-    /// Wake the waiters in the serve window, cross-shard: the service window on
-    /// shard 0 first; only when no service waits, the task window of every shard
-    /// with parked tasks. Called with **no shard lock held** — each shard is locked
-    /// one at a time, so the fan-out can never deadlock against a parker, and
-    /// because waiters release their shard lock only inside their condvar wait, a
-    /// notification issued under the shard lock is never lost.
-    fn wake_windows(&self) {
-        self.wake_windows_recording(None);
-    }
-
-    /// [`Scheduler::wake_windows`], optionally recording the per-shard wakeup count
-    /// into `record` (used by [`Scheduler::submit_batch`] for its fan-out metrics).
-    fn wake_windows_recording(&self, mut record: Option<&mut [usize]>) {
-        let mut note = |shard: usize, woken: u64| {
-            self.shard_wakeups[shard].fetch_add(woken, Ordering::Relaxed);
-            if let Some(rec) = record.as_deref_mut() {
-                rec[shard] += woken as usize;
-            }
+    /// Notify the waiters in the serve window: the service window while any
+    /// service waits, otherwise the task window. Called under the queue lock, so a
+    /// waiter (which releases the lock only inside its condvar wait) never misses
+    /// the notification.
+    fn notify_window(&self, st: &Queues) {
+        let window = if st.services.is_empty() {
+            &st.tasks
+        } else {
+            &st.services
         };
-        if self.waiting_services.load(Ordering::Acquire) > 0 {
-            let st = self.shards[0].lock();
-            let mut woken = 0u64;
-            for waiter in st.services.iter().take(self.lookahead) {
-                waiter.cond.notify_one();
-                woken += 1;
-            }
-            if woken > 0 {
-                note(0, woken);
-                return;
-            }
-            // Raced: the waiting services departed between the gate read and the
-            // lock; fall through to the task shards.
-        }
-        for (idx, shard) in self.shards.iter().enumerate() {
-            if self.shard_tasks[idx].load(Ordering::Acquire) == 0 {
-                continue;
-            }
-            let st = shard.lock();
-            let mut woken = 0u64;
-            for waiter in st.tasks.iter().take(self.lookahead) {
-                waiter.cond.notify_one();
-                woken += 1;
-            }
-            if woken > 0 {
-                note(idx, woken);
-            }
+        for waiter in window.iter().take(self.lookahead) {
+            waiter.cond.notify_one();
         }
     }
 
-    /// Append `waiter` to its class queue in `st` (front on requeue) and bump the
-    /// waiting counters. A parking service also cancels an active task-class drain:
-    /// service priority extends to reservations, so pinned nodes can never
-    /// idle-block a service. The task head re-opens its drain once no service waits
-    /// (its overtake count is preserved).
-    fn park(
-        &self,
-        st: &mut ShardState,
-        shard_idx: usize,
-        waiter: &Arc<Waiter>,
-        priority: Priority,
-        requeue: bool,
-    ) {
-        let queue = match priority {
-            Priority::Service => &mut st.services,
-            Priority::Task => &mut st.tasks,
-        };
+    /// Wake the serve window after capacity changed, skipping the queue lock
+    /// when nobody waits.
+    fn wake_window(&self) {
+        if self.waiting_services.load(Ordering::Acquire) > 0
+            || self.waiting_tasks.load(Ordering::Acquire) > 0
+        {
+            self.notify_window(&self.queues.lock());
+        }
+    }
+
+    /// Append `waiter` to its class queue (front on requeue) and bump the waiting
+    /// counter. A parking service also cancels an active task-class drain: service
+    /// priority extends to reservations, so pinned nodes can never idle-block a
+    /// service. The task head re-opens its drain once no service waits (its overtake
+    /// count is preserved).
+    fn park(&self, st: &mut Queues, waiter: &Arc<Waiter>, priority: Priority, requeue: bool) {
+        let queue = st.class_mut(priority);
         if requeue {
             queue.push_front(Arc::clone(waiter));
         } else {
             queue.push_back(Arc::clone(waiter));
         }
-        match priority {
-            Priority::Service => {
-                self.waiting_services.fetch_add(1, Ordering::AcqRel);
-                self.cancel_drain_if(|d| d.priority == Priority::Task);
-            }
-            Priority::Task => {
-                self.waiting_tasks.fetch_add(1, Ordering::AcqRel);
-                self.shard_tasks[shard_idx].fetch_add(1, Ordering::AcqRel);
-            }
+        self.waiting(priority).fetch_add(1, Ordering::AcqRel);
+        if priority == Priority::Service {
+            self.cancel_drain_if(st, |d| d.priority == Priority::Task);
+        }
+    }
+
+    /// Remove `waiter` from its class queue, if it is still there.
+    fn unpark(&self, st: &mut Queues, waiter: &Arc<Waiter>, priority: Priority) {
+        let queue = st.class_mut(priority);
+        if let Some(idx) = queue.iter().position(|w| Arc::ptr_eq(w, waiter)) {
+            queue.remove(idx);
+            self.waiting(priority).fetch_sub(1, Ordering::AcqRel);
         }
     }
 
@@ -638,27 +501,15 @@ impl Scheduler {
     }
 
     /// Allocate a slot, blocking (up to `timeout` of real time) until resources are
-    /// available. Requests are served in FIFO order within their priority class
-    /// (per queue shard), relaxed only by the bounded lookahead window;
-    /// task-priority requests additionally wait while any service placement is
-    /// pending, so services are never starved by a flood of tasks. A gang request
-    /// (`req.nodes > 1`) waits like any other request until enough idle nodes
-    /// exist, then claims them atomically — ageing into a backfill reservation
-    /// first when it keeps being overtaken (see the module docs).
+    /// available. Requests are served in FIFO order within their priority class,
+    /// relaxed only by the bounded lookahead window; task-priority requests
+    /// additionally wait while any service placement is pending, so services are
+    /// never starved by a flood of tasks. A gang request (`req.nodes > 1`) waits like
+    /// any other request until enough idle nodes exist, then claims them atomically —
+    /// ageing into a backfill reservation first when it keeps being overtaken (see
+    /// the module docs). Returns the slot with its [`PlacementStats`]: how often the
+    /// request was overtaken and how long it spent draining.
     pub fn allocate(
-        &self,
-        req: &ResourceRequest,
-        priority: Priority,
-        timeout: Duration,
-    ) -> Result<Slot, RuntimeError> {
-        self.allocate_with_stats(req, priority, timeout)
-            .map(|(slot, _)| slot)
-    }
-
-    /// [`Scheduler::allocate`], additionally returning [`PlacementStats`]: how often
-    /// the request was overtaken and how long it spent draining, for the executor's
-    /// gang metrics.
-    pub fn allocate_with_stats(
         &self,
         req: &ResourceRequest,
         priority: Priority,
@@ -673,17 +524,6 @@ impl Scheduler {
     /// window, draining, the timeout semantics — behaves exactly like
     /// [`Scheduler::allocate`].
     pub fn requeue(
-        &self,
-        req: &ResourceRequest,
-        priority: Priority,
-        timeout: Duration,
-    ) -> Result<Slot, RuntimeError> {
-        self.requeue_with_stats(req, priority, timeout)
-            .map(|(slot, _)| slot)
-    }
-
-    /// [`Scheduler::requeue`], additionally returning [`PlacementStats`].
-    pub fn requeue_with_stats(
         &self,
         req: &ResourceRequest,
         priority: Priority,
@@ -715,22 +555,15 @@ impl Scheduler {
 
         let parked_at = Instant::now();
         let deadline = parked_at + timeout;
-        let shard_idx = self.home_shard(priority);
-        let mut st = self.shards[shard_idx].lock();
+        let mut st = self.queues.lock();
 
         // Fast path: nothing is parked ahead of this request, try immediately without
         // paying for a queue entry. Deliberately stricter than the serve window —
         // newcomers always queue when anyone of their class waits, so a stream of
         // arrivals can never rotate through the window without recording arrival
-        // order. The counters are read under the home-shard lock, so at one queue
-        // shard this is exactly the legacy queues-empty check.
-        let fast_eligible = match priority {
-            Priority::Service => self.waiting_services.load(Ordering::Acquire) == 0,
-            Priority::Task => {
-                self.waiting_services.load(Ordering::Acquire) == 0
-                    && self.waiting_tasks.load(Ordering::Acquire) == 0
-            }
-        };
+        // order.
+        let fast_eligible =
+            st.services.is_empty() && (priority == Priority::Service || st.tasks.is_empty());
         if fast_eligible {
             match self.allocation.allocate_slot_with_stats(&req) {
                 Ok((slot, probes)) => {
@@ -752,20 +585,18 @@ impl Scheduler {
         // front of the class queue (the request already waited its turn once) — and
         // wait for a targeted wakeup.
         let waiter = Waiter::new();
-        self.park(&mut st, shard_idx, &waiter, priority, requeue);
-        self.wait_placed(shard_idx, st, &waiter, &req, priority, parked_at, deadline)
+        self.park(&mut st, &waiter, priority, requeue);
+        self.wait_placed(st, &waiter, &req, priority, parked_at, deadline)
     }
 
-    /// The parked-waiter wait loop: runs with the home-shard lock held continuously
+    /// The parked-waiter wait loop: runs with the queue lock held continuously
     /// (released only inside the condvar wait), attempting placement whenever the
     /// waiter is inside its serve window, opening/consuming a backfill reservation
     /// per the ageing rules, and performing the exit bookkeeping — queue removal,
-    /// overtake ticking, drain cleanup, cross-shard wakeup fan-out.
-    #[allow(clippy::too_many_arguments)]
+    /// overtake ticking, drain cleanup, and the window wake.
     fn wait_placed(
         &self,
-        shard_idx: usize,
-        mut st: MutexGuard<'_, ShardState>,
+        mut st: MutexGuard<'_, Queues>,
         waiter: &Arc<Waiter>,
         req: &ResourceRequest,
         priority: Priority,
@@ -776,28 +607,21 @@ impl Scheduler {
         let mut drained_at: Option<Instant> = None;
 
         let result = loop {
-            let queue = match priority {
-                Priority::Service => &st.services,
-                Priority::Task => &st.tasks,
-            };
             // Bounded scan: the waiter can only be eligible within the first
             // `lookahead` entries, so the position probe never walks a deep queue.
-            let position = queue
+            let position = st
+                .class(priority)
                 .iter()
                 .take(self.lookahead)
                 .position(|w| Arc::ptr_eq(w, waiter));
             let eligible = position.is_some_and(|p| self.in_window(priority, p));
-            // Peek the drain gate once per iteration: whether any reservation is
-            // active, and whether it is this waiter's.
-            let (mut my_drain, any_drain) = {
-                let gate = self.drain.lock();
-                (
-                    gate.as_ref()
-                        .filter(|d| Arc::ptr_eq(&d.owner, waiter))
-                        .map(|d| d.id),
-                    gate.is_some(),
-                )
-            };
+            // Whether any reservation is active, and whether it is this waiter's.
+            let mut my_drain = st
+                .drain
+                .as_ref()
+                .filter(|d| Arc::ptr_eq(&d.owner, waiter))
+                .map(|d| d.id);
+            let any_drain = st.drain.is_some();
             if my_drain.is_none() {
                 // The reservation was cancelled externally (a service parked): this
                 // waiter is back to plain waiting, so the drain clock must not keep
@@ -811,16 +635,6 @@ impl Scheduler {
                     match self.allocation.allocate_reserved_with_stats(drain_id, req) {
                         Ok((slot, probes)) => break Ok((slot, probes.shard_probes)),
                         Err(ResourceError::InsufficientResources) => {}
-                        // The gate peek raced a cross-shard cancellation (a service
-                        // parked on shard 0 between the peek and this attempt):
-                        // fall back to plain waiting, exactly as if the
-                        // cancellation had been observed first. Impossible at one
-                        // queue shard, where the gate only changes under the
-                        // (single) shard lock.
-                        Err(ResourceError::UnknownDrain(_)) => {
-                            my_drain = None;
-                            drained_at = None;
-                        }
                         Err(e) => break Err(RuntimeError::Resource(e)),
                     }
                 }
@@ -833,28 +647,13 @@ impl Scheduler {
                 // Placement denied: check whether this head gang has aged out of
                 // plain waiting and should open a backfill reservation.
                 if self.should_drain(!any_drain, req, priority, position, waiter, parked_at) {
-                    let begun = {
-                        let mut gate = self.drain.lock();
-                        // Re-check under the gate: another shard's head may have
-                        // opened a reservation since the peek.
-                        if gate.is_some() {
-                            None
-                        } else {
-                            match self.allocation.begin_drain(req) {
-                                Ok(id) => {
-                                    *gate = Some(ActiveDrain {
-                                        id,
-                                        owner: Arc::clone(waiter),
-                                        priority,
-                                    });
-                                    Some(Ok(id))
-                                }
-                                Err(e) => Some(Err(e)),
-                            }
-                        }
-                    };
-                    match begun {
-                        Some(Ok(id)) => {
+                    match self.allocation.begin_drain(req) {
+                        Ok(id) => {
+                            st.drain = Some(ActiveDrain {
+                                id,
+                                owner: Arc::clone(waiter),
+                                priority,
+                            });
                             my_drain = Some(id);
                             drained_at = Some(Instant::now());
                             // The already-idle nodes may complete the reservation
@@ -867,10 +666,9 @@ impl Scheduler {
                         }
                         // Raced by another allocation user — or the pilot is
                         // currently too small for the gang; retry on a later wakeup.
-                        Some(Err(ResourceError::DrainActive))
-                        | Some(Err(ResourceError::InsufficientResources))
-                        | None => {}
-                        Some(Err(e)) => break Err(RuntimeError::Resource(e)),
+                        Err(ResourceError::DrainActive)
+                        | Err(ResourceError::InsufficientResources) => {}
+                        Err(e) => break Err(RuntimeError::Resource(e)),
                     }
                 }
             }
@@ -883,14 +681,7 @@ impl Scheduler {
                     || self.waiting_services.load(Ordering::Acquire) == 0;
                 if may_final_try {
                     let attempt = match my_drain {
-                        Some(id) => match self.allocation.allocate_reserved_with_stats(id, req) {
-                            // Reservation cancelled under us: the plain path is
-                            // still worth the last try.
-                            Err(ResourceError::UnknownDrain(_)) => {
-                                self.allocation.allocate_slot_with_stats(req)
-                            }
-                            other => other,
-                        },
+                        Some(id) => self.allocation.allocate_reserved_with_stats(id, req),
                         None => self.allocation.allocate_slot_with_stats(req),
                     }
                     .map(|(slot, probes)| (slot, probes.shard_probes));
@@ -930,67 +721,30 @@ impl Scheduler {
         // After a successful reserved placement the allocation side is already
         // consumed, so the cancel inside is a no-op error that is ignored; on a
         // timeout or error it returns every pinned node to the idle bucket.
-        self.cancel_drain_if(|d| Arc::ptr_eq(&d.owner, waiter));
+        self.cancel_drain_if(&mut st, |d| Arc::ptr_eq(&d.owner, waiter));
 
         // Overtake bookkeeping: this waiter placing while earlier arrivals of its
         // class stay parked ages each of them one tick (the head is what the drain
         // trigger watches). Positions ahead are within the window except on the rare
         // post-timeout final attempt, so the scan is O(lookahead) in steady state.
-        let mut age_sibling_shards = false;
         if result.is_ok() {
-            let queue = match priority {
-                Priority::Service => &st.services,
-                Priority::Task => &st.tasks,
-            };
+            let queue = st.class(priority);
             if let Some(my_pos) = queue.iter().position(|w| Arc::ptr_eq(w, waiter)) {
                 for overtaken in queue.iter().take(my_pos) {
                     overtaken.overtakes.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            age_sibling_shards = priority == Priority::Task && self.shards.len() > 1;
+            self.outstanding.fetch_add(1, Ordering::AcqRel);
         }
 
         // Leave the queue. The departure shifts everyone behind this waiter one
         // position forward, so a new waiter may have entered the window (a departing
         // service can unblock tasks, a successful head may leave capacity for its
-        // successor): pass the wakeup on below, after the shard lock drops.
-        match priority {
-            Priority::Service => {
-                if let Some(idx) = st.services.iter().position(|w| Arc::ptr_eq(w, waiter)) {
-                    st.services.remove(idx);
-                    self.waiting_services.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            Priority::Task => {
-                if let Some(idx) = st.tasks.iter().position(|w| Arc::ptr_eq(w, waiter)) {
-                    st.tasks.remove(idx);
-                    self.waiting_tasks.fetch_sub(1, Ordering::AcqRel);
-                    self.shard_tasks[shard_idx].fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-        }
-        if result.is_ok() {
-            self.outstanding.fetch_add(1, Ordering::AcqRel);
-        }
+        // successor): pass the wakeup on.
+        self.unpark(&mut st, waiter, priority);
+        self.notify_window(&st);
         drop(st);
 
-        // Cross-shard ageing: arrival order across task shards is not tracked, so a
-        // successful placement conservatively ages the parked head of every other
-        // task shard one tick — the head is what the drain trigger watches, and
-        // erring toward draining sooner keeps starvation bounded exactly as with
-        // one shard. Shards are visited one at a time with no other lock held.
-        if age_sibling_shards {
-            for (idx, shard) in self.shards.iter().enumerate() {
-                if idx == shard_idx || self.shard_tasks[idx].load(Ordering::Acquire) == 0 {
-                    continue;
-                }
-                if let Some(head) = shard.lock().tasks.front() {
-                    head.overtakes.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-
-        self.wake_windows();
         result.map(|(slot, shard_probes)| {
             (
                 slot,
@@ -1005,79 +759,36 @@ impl Scheduler {
 
     /// Admit a burst of requests in one pass: every entry is validated against the
     /// node shape (the whole batch is rejected on the first impossible request —
-    /// pre-filter with [`Scheduler::admissible`] to keep mixed batches alive), home
-    /// shards are assigned in submission order, and the waiters are appended with
-    /// one lock round-trip per *touched* queue shard. Returns one
-    /// [`AdmissionTicket`] per request plus the admission's per-shard fan-out
-    /// shape. The window wake after admission lets already-free capacity serve the
-    /// batch heads immediately.
+    /// pre-filter with [`Scheduler::admissible`] to keep mixed batches alive), then
+    /// the waiters are appended in submission order under one lock round-trip.
+    /// Returns one [`AdmissionTicket`] per request, in submission order. The window
+    /// wake after admission lets already-free capacity serve the batch heads
+    /// immediately.
     pub fn submit_batch(
         &self,
         requests: &[(ResourceRequest, Priority)],
-    ) -> Result<BatchAdmission, RuntimeError> {
+    ) -> Result<Vec<AdmissionTicket>, RuntimeError> {
         for (req, _) in requests {
             match self.allocation.check_satisfiable(req) {
                 Ok(()) | Err(ResourceError::InsufficientResources) => {}
                 Err(e) => return Err(RuntimeError::Resource(e)),
             }
         }
-        let shard_count = self.shards.len();
-        // Home shards in submission order, so the rotor striping matches what
-        // one-by-one submission would have produced.
-        let assignments: Vec<usize> = requests
+        let mut st = self.queues.lock();
+        let tickets = requests
             .iter()
-            .map(|(_, priority)| self.home_shard(*priority))
-            .collect();
-        let mut tickets: Vec<Option<AdmissionTicket>> = requests.iter().map(|_| None).collect();
-        let mut shard_batches = vec![0usize; shard_count];
-        let mut admitted_service = false;
-        for (shard_idx, shard_batch) in shard_batches.iter_mut().enumerate() {
-            let mut guard: Option<MutexGuard<'_, ShardState>> = None;
-            for (i, (req, priority)) in requests.iter().enumerate() {
-                if assignments[i] != shard_idx {
-                    continue;
-                }
-                let st = guard.get_or_insert_with(|| self.shards[shard_idx].lock());
+            .map(|(req, priority)| {
                 let waiter = Waiter::new();
-                let queue = match priority {
-                    Priority::Service => &mut st.services,
-                    Priority::Task => &mut st.tasks,
-                };
-                queue.push_back(Arc::clone(&waiter));
-                match priority {
-                    Priority::Service => {
-                        self.waiting_services.fetch_add(1, Ordering::AcqRel);
-                        admitted_service = true;
-                    }
-                    Priority::Task => {
-                        self.waiting_tasks.fetch_add(1, Ordering::AcqRel);
-                        self.shard_tasks[shard_idx].fetch_add(1, Ordering::AcqRel);
-                    }
-                }
-                *shard_batch += 1;
-                tickets[i] = Some(AdmissionTicket {
+                self.park(&mut st, &waiter, *priority, false);
+                AdmissionTicket {
                     waiter,
-                    shard: shard_idx,
                     req: req.or_packing(self.gang_packing),
                     priority: *priority,
-                });
-            }
-        }
-        // Service priority extends to reservations, batched or not: an admitted
-        // service cancels an active task-class drain.
-        if admitted_service {
-            self.cancel_drain_if(|d| d.priority == Priority::Task);
-        }
-        let mut shard_wakeups = vec![0usize; shard_count];
-        self.wake_windows_recording(Some(&mut shard_wakeups));
-        Ok(BatchAdmission {
-            tickets: tickets
-                .into_iter()
-                .map(|t| t.expect("every request was assigned a shard"))
-                .collect(),
-            shard_batches,
-            shard_wakeups,
-        })
+                }
+            })
+            .collect();
+        self.notify_window(&st);
+        Ok(tickets)
     }
 
     /// Consume an [`AdmissionTicket`]: block (up to `timeout` of real time) until
@@ -1087,27 +798,16 @@ impl Scheduler {
         &self,
         ticket: AdmissionTicket,
         timeout: Duration,
-    ) -> Result<Slot, RuntimeError> {
-        self.allocate_admitted_with_stats(ticket, timeout)
-            .map(|(slot, _)| slot)
-    }
-
-    /// [`Scheduler::allocate_admitted`], additionally returning [`PlacementStats`].
-    pub fn allocate_admitted_with_stats(
-        &self,
-        ticket: AdmissionTicket,
-        timeout: Duration,
     ) -> Result<(Slot, PlacementStats), RuntimeError> {
         let AdmissionTicket {
             waiter,
-            shard,
             req,
             priority,
         } = ticket;
         let parked_at = Instant::now();
         let deadline = parked_at + timeout;
-        let st = self.shards[shard].lock();
-        self.wait_placed(shard, st, &waiter, &req, priority, parked_at, deadline)
+        let st = self.queues.lock();
+        self.wait_placed(st, &waiter, &req, priority, parked_at, deadline)
     }
 
     /// Abandon an [`AdmissionTicket`] without placing: the waiter leaves its queue
@@ -1115,31 +815,12 @@ impl Scheduler {
     /// the executor when an admitted task errors before reaching allocation.
     pub fn cancel_admitted(&self, ticket: AdmissionTicket) {
         let AdmissionTicket {
-            waiter,
-            shard,
-            priority,
-            ..
+            waiter, priority, ..
         } = ticket;
-        {
-            let mut st = self.shards[shard].lock();
-            match priority {
-                Priority::Service => {
-                    if let Some(idx) = st.services.iter().position(|w| Arc::ptr_eq(w, &waiter)) {
-                        st.services.remove(idx);
-                        self.waiting_services.fetch_sub(1, Ordering::AcqRel);
-                    }
-                }
-                Priority::Task => {
-                    if let Some(idx) = st.tasks.iter().position(|w| Arc::ptr_eq(w, &waiter)) {
-                        st.tasks.remove(idx);
-                        self.waiting_tasks.fetch_sub(1, Ordering::AcqRel);
-                        self.shard_tasks[shard].fetch_sub(1, Ordering::AcqRel);
-                    }
-                }
-            }
-        }
-        self.cancel_drain_if(|d| Arc::ptr_eq(&d.owner, &waiter));
-        self.wake_windows();
+        let mut st = self.queues.lock();
+        self.unpark(&mut st, &waiter, priority);
+        self.cancel_drain_if(&mut st, |d| Arc::ptr_eq(&d.owner, &waiter));
+        self.notify_window(&st);
     }
 
     /// Release a previously allocated slot and wake the waiters in the serve window.
@@ -1157,7 +838,7 @@ impl Scheduler {
                     .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
                         Some(n.saturating_sub(1))
                     });
-                self.wake_windows();
+                self.wake_window();
                 result.map_err(RuntimeError::Resource)
             }
             Err(e) => Err(RuntimeError::Resource(e)),
@@ -1173,12 +854,9 @@ impl Scheduler {
 
     /// Re-probe parked waiters after capacity appeared without a release — e.g. the
     /// pilot expanded its allocation. Releases wake the window themselves; this is
-    /// for capacity that arrives out of band. The fan-out only visits shards whose
-    /// classes could place: the service window on shard 0 shields everything while
-    /// a service waits, and task shards with no parked tasks are skipped without
-    /// taking their locks.
+    /// for capacity that arrives out of band.
     pub fn notify_capacity(&self) {
-        self.wake_windows();
+        self.wake_window();
     }
 }
 #[cfg(test)]
@@ -1220,7 +898,7 @@ mod tests {
     #[test]
     fn allocate_and_release_roundtrip() {
         let s = scheduler(PlatformId::Local, 1); // 8 cores, 2 gpus
-        let slot = s
+        let (slot, _) = s
             .allocate(&gpus(1), Priority::Service, Duration::from_secs(1))
             .unwrap();
         assert_eq!(slot.num_gpus(), 1);
@@ -1248,7 +926,7 @@ mod tests {
         wait_until(&s, "too-wide gang parked", |s| s.waiting_tasks() == 1);
         s.allocation().expand(1).unwrap();
         s.notify_capacity();
-        let gang = parked.join().unwrap().expect("gang places once grown");
+        let (gang, _) = parked.join().unwrap().expect("gang places once grown");
         assert_eq!(gang.num_nodes(), 2);
         s.release(&gang).unwrap();
     }
@@ -1268,7 +946,7 @@ mod tests {
     #[test]
     fn allocation_times_out_under_pressure() {
         let s = scheduler(PlatformId::Local, 1);
-        let _hold = s
+        let (_hold, _) = s
             .allocate(&gpus(2), Priority::Task, Duration::from_secs(1))
             .unwrap();
         let err = s
@@ -1289,7 +967,7 @@ mod tests {
         // the waiter behind it (W2) can obtain the free GPU *only* through the final
         // attempt at its deadline — never through head eligibility.
         let s = Arc::new(scheduler(PlatformId::Local, 1)); // 2 gpus
-        let hold = s
+        let (hold, _) = s
             .allocate(&gpus(1), Priority::Task, Duration::from_secs(1))
             .unwrap();
         let s1 = Arc::clone(&s);
@@ -1308,9 +986,9 @@ mod tests {
             "final attempt must claim the free GPU at the deadline: {got:?}"
         );
         // Unblock the head and let it finish.
-        s.release(&got.unwrap()).unwrap();
+        s.release(&got.unwrap().0).unwrap();
         s.release(&hold).unwrap();
-        let head_slot = head.join().unwrap().unwrap();
+        let head_slot = head.join().unwrap().unwrap().0;
         assert_eq!(head_slot.num_gpus(), 2);
         s.release(&head_slot).unwrap();
         assert_eq!(s.outstanding_slots(), 0);
@@ -1319,7 +997,7 @@ mod tests {
     #[test]
     fn blocked_allocation_wakes_on_release() {
         let s = Arc::new(scheduler(PlatformId::Local, 1));
-        let slot = s
+        let (slot, _) = s
             .allocate(&gpus(2), Priority::Task, Duration::from_secs(1))
             .unwrap();
         let s2 = Arc::clone(&s);
@@ -1327,7 +1005,7 @@ mod tests {
             thread::spawn(move || s2.allocate(&gpus(1), Priority::Task, Duration::from_secs(5)));
         thread::sleep(Duration::from_millis(20));
         s.release(&slot).unwrap();
-        let got = waiter.join().unwrap().unwrap();
+        let got = waiter.join().unwrap().unwrap().0;
         assert_eq!(got.num_gpus(), 1);
     }
 
@@ -1336,10 +1014,10 @@ mod tests {
         // 2 GPUs total. A task holds both; a service and a task are both waiting.
         // When the GPUs free up one by one, the service must be placed first.
         let s = Arc::new(scheduler(PlatformId::Local, 1));
-        let hold_a = s
+        let (hold_a, _) = s
             .allocate(&gpus(1), Priority::Task, Duration::from_secs(1))
             .unwrap();
-        let hold_b = s
+        let (hold_b, _) = s
             .allocate(&gpus(1), Priority::Task, Duration::from_secs(1))
             .unwrap();
 
@@ -1347,7 +1025,7 @@ mod tests {
         let svc_waiter = thread::spawn(move || {
             s_svc
                 .allocate(&gpus(1), Priority::Service, Duration::from_secs(5))
-                .map(|slot| ("service", slot))
+                .map(|(slot, _)| ("service", slot))
         });
         // Give the service waiter time to register.
         thread::sleep(Duration::from_millis(30));
@@ -1355,7 +1033,7 @@ mod tests {
         let task_waiter = thread::spawn(move || {
             s_task
                 .allocate(&gpus(1), Priority::Task, Duration::from_secs(5))
-                .map(|slot| ("task", slot))
+                .map(|(slot, _)| ("task", slot))
         });
         thread::sleep(Duration::from_millis(30));
 
@@ -1374,7 +1052,7 @@ mod tests {
         // One GPU cycles through three parked waiters; completion order must match
         // arrival order (the old condvar implementation gave no such guarantee).
         let s = Arc::new(scheduler(PlatformId::Local, 1)); // 2 gpus
-        let hold = s
+        let (hold, _) = s
             .allocate(&gpus(2), Priority::Task, Duration::from_secs(5))
             .unwrap();
         let order = Arc::new(Mutex::new(Vec::new()));
@@ -1383,7 +1061,7 @@ mod tests {
             let s2 = Arc::clone(&s);
             let order2 = Arc::clone(&order);
             waiters.push(thread::spawn(move || {
-                let slot = s2
+                let (slot, _) = s2
                     .allocate(&gpus(1), Priority::Task, Duration::from_secs(10))
                     .unwrap();
                 order2.lock().push(i);
@@ -1413,10 +1091,10 @@ mod tests {
         // must park. Releasing both slots frees two idle nodes and the gang claims
         // them as a unit.
         let s = Arc::new(scheduler(PlatformId::Local, 2));
-        let hold_a = s
+        let (hold_a, _) = s
             .allocate(&cores(1), Priority::Task, Duration::from_secs(1))
             .unwrap();
-        let hold_b = s
+        let (hold_b, _) = s
             .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
             .unwrap();
         assert_ne!(hold_a.node_index(), hold_b.node_index());
@@ -1436,7 +1114,7 @@ mod tests {
         thread::sleep(Duration::from_millis(50));
         assert_eq!(s.waiting_tasks(), 1, "gang still parked on one idle node");
         s.release(&hold_b).unwrap();
-        let gang = gang_waiter.join().unwrap().unwrap();
+        let gang = gang_waiter.join().unwrap().unwrap().0;
         assert_eq!(gang.num_nodes(), 2);
         assert_eq!(gang.num_cores(), 8);
         s.release(&gang).unwrap();
@@ -1452,10 +1130,10 @@ mod tests {
         // moment node B frees — this test needs a durably blocked head); a
         // whole-node task behind it fits node B the moment it frees.
         let s = Arc::new(scheduler_with_lookahead(PlatformId::Local, 2, 2));
-        let pin = s
+        let (pin, _) = s
             .allocate(&cores(1), Priority::Task, Duration::from_secs(1))
             .unwrap();
-        let hold_b = s
+        let (hold_b, _) = s
             .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
             .unwrap();
         let s1 = Arc::clone(&s);
@@ -1476,13 +1154,13 @@ mod tests {
         // Free node B: the gang at the head still cannot fit (node A is pinned), but
         // the narrow task inside the lookahead window must be served.
         s.release(&hold_b).unwrap();
-        let narrow = narrow_waiter.join().unwrap().unwrap();
+        let narrow = narrow_waiter.join().unwrap().unwrap().0;
         assert_eq!(narrow.num_cores(), 8);
         assert_eq!(s.waiting_tasks(), 1, "gang keeps its place at the head");
         // Unblock the gang: release the narrow slot and the pin.
         s.release(&narrow).unwrap();
         s.release(&pin).unwrap();
-        let gang = gang_waiter.join().unwrap().unwrap();
+        let gang = gang_waiter.join().unwrap().unwrap().0;
         assert_eq!(gang.num_nodes(), 2);
         s.release(&gang).unwrap();
         assert_eq!(s.outstanding_slots(), 0);
@@ -1494,7 +1172,7 @@ mod tests {
         // newcomer task that would fit must still queue behind a parked service, and
         // freed capacity goes to the service first.
         let s = Arc::new(scheduler_with_lookahead(PlatformId::Local, 1, 4)); // 2 gpus
-        let hold = s
+        let (hold, _) = s
             .allocate(&gpus(2), Priority::Task, Duration::from_secs(1))
             .unwrap();
         let s_svc = Arc::clone(&s);
@@ -1512,14 +1190,14 @@ mod tests {
             |s| s.waiting_tasks() == 1,
         );
         s.release(&hold).unwrap();
-        let svc_slot = svc.join().unwrap().unwrap();
+        let svc_slot = svc.join().unwrap().unwrap().0;
         assert_eq!(
             svc_slot.num_gpus(),
             2,
             "service takes the freed capacity first"
         );
         s.release(&svc_slot).unwrap();
-        let task_slot = task.join().unwrap().unwrap();
+        let task_slot = task.join().unwrap().unwrap().0;
         s.release(&task_slot).unwrap();
         assert_eq!(s.outstanding_slots(), 0);
     }
@@ -1531,10 +1209,10 @@ mod tests {
         // while node B sits free (head-of-line blocking is the documented price of
         // strict FIFO).
         let s = Arc::new(scheduler(PlatformId::Local, 2));
-        let pin = s
+        let (pin, _) = s
             .allocate(&cores(1), Priority::Task, Duration::from_secs(1))
             .unwrap();
-        let hold_b = s
+        let (hold_b, _) = s
             .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
             .unwrap();
         let s1 = Arc::clone(&s);
@@ -1564,40 +1242,37 @@ mod tests {
         );
         // Unblock in order: the gang claims both nodes, then the narrow task fits.
         s.release(&pin).unwrap();
-        let gang = gang_waiter.join().unwrap().unwrap();
+        let gang = gang_waiter.join().unwrap().unwrap().0;
         assert_eq!(gang.num_nodes(), 2);
         s.release(&gang).unwrap();
-        let narrow = narrow_waiter.join().unwrap().unwrap();
+        let narrow = narrow_waiter.join().unwrap().unwrap().0;
         s.release(&narrow).unwrap();
         assert_eq!(s.outstanding_slots(), 0);
     }
 
     /// Acceptance scenario, drain ON: a 4-node whole-node gang parked behind a stream
     /// of 1-node whole-node tasks places within its overtake budget once draining,
-    /// because every node the stream releases is pinned to the reservation. With
-    /// more than one queue shard the stream lands on sibling shards and the gang is
-    /// aged by the cross-shard head ticking instead of same-queue overtakes.
-    fn draining_gang_places_within_its_overtake_budget_at(queue_shards: usize) {
+    /// because every node the stream releases is pinned to the reservation.
+    #[test]
+    fn draining_gang_places_within_its_overtake_budget() {
         const MAX_OVERTAKES: u32 = 3;
         let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 3);
         let alloc = batch.submit(AllocationRequest::nodes(4)).unwrap();
         let cores_per_node = alloc.node_spec().cores;
-        let s = Arc::new(
-            Scheduler::with_lookahead(alloc, 2)
-                .with_max_overtakes(Some(MAX_OVERTAKES))
-                .with_queue_shards(Some(queue_shards)),
-        );
+        let s =
+            Arc::new(Scheduler::with_lookahead(alloc, 2).with_max_overtakes(Some(MAX_OVERTAKES)));
         let narrow = cores(cores_per_node); // whole single node
         let gang_req = cores(cores_per_node).with_nodes(4); // all four nodes, idle
 
         // One node busy at all times, so the gang can never place directly.
         let mut hold = Some(
             s.allocate(&narrow, Priority::Task, Duration::from_secs(1))
-                .unwrap(),
+                .unwrap()
+                .0,
         );
         let s_gang = Arc::clone(&s);
         let gang_waiter = thread::spawn(move || {
-            s_gang.allocate_with_stats(&gang_req, Priority::Task, Duration::from_secs(30))
+            s_gang.allocate(&gang_req, Priority::Task, Duration::from_secs(30))
         });
         wait_until(&s, "gang parked at the head", |s| s.waiting_tasks() == 1);
 
@@ -1617,7 +1292,7 @@ mod tests {
                 });
             }
             match s.allocate(&narrow, Priority::Task, Duration::from_millis(300)) {
-                Ok(next) => {
+                Ok((next, _)) => {
                     overtakes += 1;
                     assert!(
                         overtakes <= bound,
@@ -1657,16 +1332,6 @@ mod tests {
         assert_eq!(s.allocation().reserved_nodes(), 0);
     }
 
-    #[test]
-    fn draining_gang_places_within_its_overtake_budget() {
-        draining_gang_places_within_its_overtake_budget_at(1);
-    }
-
-    #[test]
-    fn draining_gang_places_within_its_overtake_budget_with_four_queue_shards() {
-        draining_gang_places_within_its_overtake_budget_at(4);
-    }
-
     /// Acceptance contrast, drain OFF: the identical scenario with draining disabled
     /// reproduces the PR-2 starvation — the stream overtakes the gang indefinitely.
     #[test]
@@ -1684,7 +1349,7 @@ mod tests {
         let narrow = cores(cores_per_node);
         let gang_req = cores(cores_per_node).with_nodes(4);
 
-        let mut hold = s
+        let (mut hold, _) = s
             .allocate(&narrow, Priority::Task, Duration::from_secs(1))
             .unwrap();
         let s_gang = Arc::clone(&s);
@@ -1695,7 +1360,7 @@ mod tests {
 
         // Far beyond any reasonable budget: every round must keep placing.
         for _ in 0..24 {
-            let next = s
+            let (next, _) = s
                 .allocate(&narrow, Priority::Task, Duration::from_secs(5))
                 .expect("with draining off the stream must never be cut off");
             s.release(&hold).unwrap();
@@ -1709,7 +1374,7 @@ mod tests {
         );
         // Stop the stream: the gang finally fits.
         s.release(&hold).unwrap();
-        let gang = gang_waiter.join().unwrap().unwrap();
+        let gang = gang_waiter.join().unwrap().unwrap().0;
         assert_eq!(gang.num_nodes(), 4);
         s.release(&gang).unwrap();
         assert_eq!(s.outstanding_slots(), 0);
@@ -1725,10 +1390,10 @@ mod tests {
         let mut residents = Vec::new();
         let mut churn = std::collections::VecDeque::new();
         for _ in 0..4 {
-            let r = s
+            let (r, _) = s
                 .allocate(&cores(24), Priority::Task, Duration::from_secs(1))
                 .unwrap();
-            let c = s
+            let (c, _) = s
                 .allocate(&cores(24), Priority::Task, Duration::from_secs(1))
                 .unwrap();
             assert_eq!(r.node_index(), c.node_index(), "pairs share a node");
@@ -1744,14 +1409,14 @@ mod tests {
     /// overtake budget, because each churn release frees one member share of
     /// headroom (40 ≥ 32 cores) and partial pinning captures it while the resident
     /// slots keep running.
-    fn partial_drain_places_gang_under_subnode_churn_within_budget_at(queue_shards: usize) {
+    #[test]
+    fn partial_drain_places_gang_under_subnode_churn_within_budget() {
         const MAX_OVERTAKES: u32 = 3;
         let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 3);
         let alloc = batch.submit(AllocationRequest::nodes(4)).unwrap();
         let s = Arc::new(
             Scheduler::with_lookahead(Arc::clone(&alloc), 2)
-                .with_max_overtakes(Some(MAX_OVERTAKES))
-                .with_queue_shards(Some(queue_shards)),
+                .with_max_overtakes(Some(MAX_OVERTAKES)),
         );
         assert_eq!(s.gang_packing(), GangPacking::Partial, "session default");
         let (residents, mut churn) = subnode_churn_fixture(&s);
@@ -1761,7 +1426,7 @@ mod tests {
         let gang_req = cores(32).with_nodes(4);
         let s_gang = Arc::clone(&s);
         let gang_waiter = thread::spawn(move || {
-            s_gang.allocate_with_stats(&gang_req, Priority::Task, Duration::from_secs(30))
+            s_gang.allocate(&gang_req, Priority::Task, Duration::from_secs(30))
         });
         wait_until(&s, "gang parked at the head", |s| s.waiting_tasks() == 1);
 
@@ -1784,7 +1449,7 @@ mod tests {
                 "sub-node churn must never idle a node (residents keep running)"
             );
             match s.allocate(&cores(24), Priority::Task, Duration::from_millis(300)) {
-                Ok(next) => {
+                Ok((next, _)) => {
                     overtakes += 1;
                     assert!(
                         overtakes <= MAX_OVERTAKES + 2,
@@ -1831,16 +1496,6 @@ mod tests {
         assert_eq!(alloc.reserved_nodes(), 0);
     }
 
-    #[test]
-    fn partial_drain_places_gang_under_subnode_churn_within_budget() {
-        partial_drain_places_gang_under_subnode_churn_within_budget_at(1);
-    }
-
-    #[test]
-    fn partial_drain_places_gang_under_subnode_churn_within_budget_with_four_queue_shards() {
-        partial_drain_places_gang_under_subnode_churn_within_budget_at(4);
-    }
-
     /// Acceptance contrast, `Whole` packing: the identical sub-node churn scenario
     /// stalls the gang indefinitely — the drain opens but pins nothing, because no
     /// node ever goes fully idle (bounded-time check: the churn stream keeps placing
@@ -1861,7 +1516,7 @@ mod tests {
         let gang_req = cores(32).with_nodes(4).with_packing(GangPacking::Whole);
         let s_gang = Arc::clone(&s);
         let gang_waiter = thread::spawn(move || {
-            s_gang.allocate_with_stats(&gang_req, Priority::Task, Duration::from_secs(30))
+            s_gang.allocate(&gang_req, Priority::Task, Duration::from_secs(30))
         });
         wait_until(&s, "gang parked at the head", |s| s.waiting_tasks() == 1);
 
@@ -1870,7 +1525,7 @@ mod tests {
         for round in 0..12 {
             let old = churn.pop_front().unwrap();
             s.release(&old).unwrap();
-            let next = s
+            let (next, _) = s
                 .allocate(&cores(24), Priority::Task, Duration::from_secs(5))
                 .unwrap_or_else(|e| {
                     panic!("churn round {round} must place under Whole packing: {e:?}")
@@ -1911,7 +1566,7 @@ mod tests {
         );
         // One core pinned on one node: a 2-node gang can never complete, but the
         // other (idle) node gets pinned by its reservation once draining starts.
-        let pin = s
+        let (pin, _) = s
             .allocate(&cores(1), Priority::Task, Duration::from_secs(1))
             .unwrap();
         let err = s
@@ -1929,7 +1584,7 @@ mod tests {
         );
         assert_eq!(s.waiting_tasks(), 0);
         // The previously pinned node is placeable again.
-        let whole = s
+        let (whole, _) = s
             .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
             .unwrap();
         s.release(&whole).unwrap();
@@ -1950,12 +1605,12 @@ mod tests {
                 .with_max_overtakes(None)
                 .with_gang_drain_after(Some(Duration::from_millis(20))),
         );
-        let pin = s
+        let (pin, _) = s
             .allocate(&cores(1), Priority::Task, Duration::from_secs(1))
             .unwrap();
         let s_gang = Arc::clone(&s);
         let gang_waiter = thread::spawn(move || {
-            s_gang.allocate_with_stats(
+            s_gang.allocate(
                 &cores(8).with_nodes(2),
                 Priority::Task,
                 Duration::from_secs(30),
@@ -1966,7 +1621,7 @@ mod tests {
             s.allocation().reserved_nodes() == 1
         });
         // A whole-node service arrives: it must not be blocked by the pinned node.
-        let svc = s
+        let (svc, _) = s
             .allocate(&cores(8), Priority::Service, Duration::from_secs(5))
             .expect("service must reclaim the reserved node");
         assert_eq!(
@@ -2012,6 +1667,7 @@ mod tests {
                 .map(|_| {
                     s.allocate(&cores(64), Priority::Task, Duration::from_secs(1))
                         .unwrap()
+                        .0
                 })
                 .collect();
             let s_gang = Arc::clone(&s);
@@ -2046,7 +1702,7 @@ mod tests {
             for hold in &holds[1..] {
                 s.release(hold).unwrap();
             }
-            let gang = gang_waiter.join().unwrap().unwrap();
+            let gang = gang_waiter.join().unwrap().unwrap().0;
             assert_eq!(gang.num_nodes(), 4);
             s.release(&gang).unwrap();
             assert_eq!(s.outstanding_slots(), 0);
@@ -2066,11 +1722,11 @@ mod tests {
             .unwrap();
         let s = Scheduler::new(alloc);
         let (slot, stats) = s
-            .allocate_with_stats(&cores(4), Priority::Task, Duration::from_secs(1))
+            .allocate(&cores(4), Priority::Task, Duration::from_secs(1))
             .unwrap();
         assert!((1..=2).contains(&stats.shard_probes), "{stats:?}");
         let (gang, gang_stats) = s
-            .allocate_with_stats(
+            .allocate(
                 &cores(32).with_nodes(4),
                 Priority::Task,
                 Duration::from_secs(1),
@@ -2090,7 +1746,7 @@ mod tests {
             let s = Arc::clone(&s);
             handles.push(thread::spawn(move || {
                 for _ in 0..50 {
-                    let slot = s
+                    let (slot, _) = s
                         .allocate(&cores(4), Priority::Task, Duration::from_secs(10))
                         .unwrap();
                     s.release(&slot).unwrap();
@@ -2116,7 +1772,7 @@ mod tests {
             let s = Arc::clone(&s);
             handles.push(thread::spawn(move || {
                 for _ in 0..20 {
-                    let slot = s
+                    let (slot, _) = s
                         .allocate(&cores(3), Priority::Task, Duration::from_secs(30))
                         .unwrap();
                     s.release(&slot).unwrap();
@@ -2146,7 +1802,7 @@ mod tests {
                     cores(3)
                 };
                 for _ in 0..20 {
-                    let slot = s
+                    let (slot, _) = s
                         .allocate(&req, Priority::Task, Duration::from_secs(30))
                         .unwrap();
                     s.release(&slot).unwrap();
@@ -2165,7 +1821,7 @@ mod tests {
     #[test]
     fn release_of_evicted_slot_reports_node_failed_and_retires_it() {
         let s = scheduler(PlatformId::Local, 2);
-        let slot = s
+        let (slot, _) = s
             .allocate(&cores(4), Priority::Task, Duration::from_secs(1))
             .unwrap();
         assert!(!s.slot_lost(&slot));
@@ -2193,7 +1849,7 @@ mod tests {
     #[test]
     fn requeued_victim_parks_at_the_front_of_its_class() {
         let s = Arc::new(scheduler(PlatformId::Local, 1)); // 8 cores, strict FIFO
-        let hold = s
+        let (hold, _) = s
             .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
             .unwrap();
         let s1 = Arc::clone(&s);
@@ -2207,14 +1863,14 @@ mod tests {
         // One whole node frees: the requeued waiter at the front must take it while
         // the earlier ordinary arrival stays parked behind it.
         s.release(&hold).unwrap();
-        let front_slot = front.join().unwrap().unwrap();
+        let front_slot = front.join().unwrap().unwrap().0;
         assert_eq!(
             s.waiting_tasks(),
             1,
             "the ordinary waiter is still parked behind the served requeue"
         );
         s.release(&front_slot).unwrap();
-        let back_slot = back.join().unwrap().unwrap();
+        let back_slot = back.join().unwrap().unwrap().0;
         s.release(&back_slot).unwrap();
         assert_eq!(s.outstanding_slots(), 0);
     }
@@ -2222,7 +1878,7 @@ mod tests {
     #[test]
     fn expand_plus_notify_capacity_unblocks_a_parked_waiter() {
         let s = Arc::new(scheduler(PlatformId::Local, 1)); // one 8-core node
-        let hold = s
+        let (hold, _) = s
             .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
             .unwrap();
         let s1 = Arc::clone(&s);
@@ -2232,7 +1888,7 @@ mod tests {
         // Growth releases no slot, so the pilot layer must pass the wakeup on.
         s.allocation().expand(1).unwrap();
         s.notify_capacity();
-        let slot = waiter.join().unwrap().unwrap();
+        let slot = waiter.join().unwrap().unwrap().0;
         assert_eq!(slot.num_cores(), 8);
         s.release(&slot).unwrap();
         s.release(&hold).unwrap();
@@ -2255,7 +1911,7 @@ mod tests {
                     .with_max_overtakes(Some(MAX_OVERTAKES)),
             );
             let narrow = cores(cores_per_node);
-            let gang = s
+            let (gang, _) = s
                 .allocate(
                     &cores(cores_per_node).with_nodes(4),
                     Priority::Task,
@@ -2267,7 +1923,8 @@ mod tests {
             // gang cannot place directly and must age into a drain.
             let mut hold = Some(
                 s.allocate(&narrow, Priority::Task, Duration::from_secs(1))
-                    .unwrap(),
+                    .unwrap()
+                    .0,
             );
 
             let victims = alloc.fail_node(victim_node).unwrap();
@@ -2281,7 +1938,7 @@ mod tests {
             let s_gang = Arc::clone(&s);
             let gang_req = cores(cores_per_node).with_nodes(4);
             let gang_waiter = thread::spawn(move || {
-                s_gang.requeue_with_stats(&gang_req, Priority::Task, Duration::from_secs(30))
+                s_gang.requeue(&gang_req, Priority::Task, Duration::from_secs(30))
             });
             wait_until(&s, "requeued gang parked at the head", |s| {
                 s.waiting_tasks() == 1
@@ -2297,7 +1954,7 @@ mod tests {
                     });
                 }
                 match s.allocate(&narrow, Priority::Task, Duration::from_millis(300)) {
-                    Ok(next) => {
+                    Ok((next, _)) => {
                         overtakes += 1;
                         assert!(
                             overtakes <= MAX_OVERTAKES + 2,
@@ -2338,39 +1995,19 @@ mod tests {
     }
 
     #[test]
-    fn queue_shards_knob_pins_and_derives() {
-        let s = scheduler(PlatformId::Local, 1);
-        assert_eq!(s.queue_shards(), 1, "small allocations derive one shard");
-        let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 3);
-        let alloc = batch.submit(AllocationRequest::nodes(4)).unwrap();
-        let pinned = Scheduler::new(Arc::clone(&alloc)).with_queue_shards(Some(4));
-        assert_eq!(pinned.queue_shards(), 4);
-        assert_eq!(pinned.shard_wakeup_counts(), vec![0; 4]);
-        let clamped = Scheduler::new(alloc).with_queue_shards(Some(0));
-        assert_eq!(clamped.queue_shards(), 1, "clamped to at least 1");
-        assert!(format!("{clamped:?}").contains("queue_shards"));
-    }
-
-    #[test]
-    fn submit_batch_fans_out_across_shards_and_every_ticket_places() {
-        let s = Arc::new(scheduler(PlatformId::Local, 2).with_queue_shards(Some(2)));
+    fn every_batch_admitted_ticket_places() {
+        let s = Arc::new(scheduler(PlatformId::Local, 2));
         // Fill both nodes so the whole batch parks instead of fast-pathing.
-        let hold_a = s
+        let (hold_a, _) = s
             .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
             .unwrap();
-        let hold_b = s
+        let (hold_b, _) = s
             .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
             .unwrap();
-        let admission = s.submit_batch(&[(cores(4), Priority::Task); 4]).unwrap();
-        assert_eq!(admission.tickets.len(), 4);
-        assert_eq!(
-            admission.shard_batches,
-            vec![2, 2],
-            "the rotor stripes the batch evenly across both shards"
-        );
+        let tickets = s.submit_batch(&[(cores(4), Priority::Task); 4]).unwrap();
+        assert_eq!(tickets.len(), 4);
         assert_eq!(s.waiting_tasks(), 4);
-        let threads: Vec<_> = admission
-            .tickets
+        let threads: Vec<_> = tickets
             .into_iter()
             .map(|ticket| {
                 let s = Arc::clone(&s);
@@ -2381,7 +2018,7 @@ mod tests {
         s.release(&hold_b).unwrap();
         let slots: Vec<Slot> = threads
             .into_iter()
-            .map(|t| t.join().unwrap().expect("admitted ticket places"))
+            .map(|t| t.join().unwrap().expect("admitted ticket places").0)
             .collect();
         assert_eq!(s.outstanding_slots(), 4);
         for slot in &slots {
@@ -2390,29 +2027,24 @@ mod tests {
         assert_eq!(s.waiting_tasks(), 0);
         assert_eq!(s.outstanding_slots(), 0);
         assert_eq!(s.allocation().free_cores(), 16);
-        assert!(
-            s.shard_wakeup_counts().iter().sum::<u64>() > 0,
-            "releases must have issued targeted wakeups"
-        );
     }
 
     #[test]
-    fn batched_admission_preserves_fifo_order_at_one_shard() {
-        let s = Arc::new(scheduler(PlatformId::Local, 1).with_queue_shards(Some(1)));
-        let hold = s
+    fn batched_admission_preserves_fifo_order() {
+        let s = Arc::new(scheduler(PlatformId::Local, 1));
+        let (hold, _) = s
             .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
             .unwrap();
-        let admission = s.submit_batch(&[(cores(8), Priority::Task); 3]).unwrap();
+        let tickets = s.submit_batch(&[(cores(8), Priority::Task); 3]).unwrap();
         let order = Arc::new(Mutex::new(Vec::new()));
-        let threads: Vec<_> = admission
-            .tickets
+        let threads: Vec<_> = tickets
             .into_iter()
             .enumerate()
             .map(|(i, ticket)| {
                 let s = Arc::clone(&s);
                 let order = Arc::clone(&order);
                 thread::spawn(move || {
-                    let slot = s
+                    let (slot, _) = s
                         .allocate_admitted(ticket, Duration::from_secs(10))
                         .unwrap();
                     order.lock().push(i);
@@ -2431,36 +2063,85 @@ mod tests {
         assert_eq!(s.outstanding_slots(), 0);
     }
 
+    /// Exact admission order on a wide allocation: whole-node tickets at
+    /// lookahead 1 on 32 nodes place strictly one after another as nodes free one
+    /// at a time. Consumers reach `allocate_admitted` in reverse admission order,
+    /// so only the wait queue can produce the expected sequence.
+    #[test]
+    fn batched_whole_node_tickets_place_in_admission_order_on_32_nodes() {
+        const NODES: usize = 32;
+        let s = Arc::new(scheduler(PlatformId::Delta, NODES));
+        let whole = cores(s.allocation().node_spec().cores);
+        let holds: Vec<Slot> = (0..NODES)
+            .map(|_| {
+                s.allocate(&whole, Priority::Task, Duration::from_secs(1))
+                    .unwrap()
+                    .0
+            })
+            .collect();
+        let tickets = s.submit_batch(&[(whole, Priority::Task); NODES]).unwrap();
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let threads: Vec<_> = tickets
+            .into_iter()
+            .enumerate()
+            .rev()
+            .map(|(i, ticket)| {
+                let s = Arc::clone(&s);
+                let order = Arc::clone(&order);
+                thread::spawn(move || {
+                    let (slot, _) = s
+                        .allocate_admitted(ticket, Duration::from_secs(30))
+                        .unwrap();
+                    order.lock().push(i);
+                    slot
+                })
+            })
+            .collect();
+        for (freed, hold) in holds.iter().enumerate() {
+            s.release(hold).unwrap();
+            wait_until(&s, "the freed node placed a ticket", |_| {
+                order.lock().len() > freed
+            });
+        }
+        let placed: Vec<Slot> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        assert_eq!(*order.lock(), (0..NODES).collect::<Vec<_>>());
+        for slot in &placed {
+            s.release(slot).unwrap();
+        }
+        assert_eq!(s.outstanding_slots(), 0);
+        assert_eq!(s.allocation().idle_nodes(), NODES);
+    }
+
     #[test]
     fn cancelled_ticket_unblocks_the_fifo_behind_it() {
-        let s = Arc::new(scheduler(PlatformId::Local, 1).with_queue_shards(Some(1)));
-        let hold = s
+        let s = Arc::new(scheduler(PlatformId::Local, 1));
+        let (hold, _) = s
             .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
             .unwrap();
-        let mut admission = s.submit_batch(&[(cores(8), Priority::Task); 2]).unwrap();
-        let second = admission.tickets.pop().unwrap();
-        let first = admission.tickets.pop().unwrap();
+        let mut tickets = s.submit_batch(&[(cores(8), Priority::Task); 2]).unwrap();
+        let second = tickets.pop().unwrap();
+        let first = tickets.pop().unwrap();
         // Abandon the head ticket: the one behind it must still place.
         s.cancel_admitted(first);
         assert_eq!(s.waiting_tasks(), 1);
         let s2 = Arc::clone(&s);
         let consumer = thread::spawn(move || s2.allocate_admitted(second, Duration::from_secs(10)));
         s.release(&hold).unwrap();
-        let slot = consumer.join().unwrap().unwrap();
+        let (slot, _) = consumer.join().unwrap().unwrap();
         s.release(&slot).unwrap();
         assert_eq!(s.waiting_tasks(), 0);
         assert_eq!(s.outstanding_slots(), 0);
     }
 
     #[test]
-    fn batched_service_preempts_earlier_batched_tasks_across_shards() {
-        let s = Arc::new(scheduler(PlatformId::Local, 1).with_queue_shards(Some(4)));
-        let hold = s
+    fn batched_service_preempts_earlier_batched_tasks() {
+        let s = Arc::new(scheduler(PlatformId::Local, 1));
+        let (hold, _) = s
             .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
             .unwrap();
         // Tasks admitted *before* the service in the same batch: the service must
-        // still place first — its priority gates every task shard.
-        let admission = s
+        // still place first.
+        let tickets = s
             .submit_batch(&[
                 (cores(8), Priority::Task),
                 (cores(8), Priority::Task),
@@ -2470,15 +2151,14 @@ mod tests {
         assert_eq!(s.waiting_services(), 1);
         assert_eq!(s.waiting_tasks(), 2);
         let order = Arc::new(Mutex::new(Vec::new()));
-        let threads: Vec<_> = admission
-            .tickets
+        let threads: Vec<_> = tickets
             .into_iter()
             .map(|ticket| {
                 let s = Arc::clone(&s);
                 let order = Arc::clone(&order);
                 let priority = ticket.priority();
                 thread::spawn(move || {
-                    let slot = s
+                    let (slot, _) = s
                         .allocate_admitted(ticket, Duration::from_secs(10))
                         .unwrap();
                     order.lock().push(priority);

@@ -69,12 +69,6 @@ pub struct SessionConfig {
     /// (clamped to `1..=nodes`), with `Some(1)` as the compatibility escape hatch.
     /// A pilot's explicit `PilotDescription::allocator_shards` overrides this.
     pub allocator_shards: Option<usize>,
-    /// Scheduler wait-queue shard count: `None` (the default) derives it from the
-    /// host parallelism and the allocation's node count (one shard for small
-    /// allocations — the exact single-queue behaviour); `Some(n)` pins it (clamped
-    /// to at least 1), with `Some(1)` as the bit-exact legacy escape hatch
-    /// mirroring [`SessionConfig::allocator_shards`].
-    pub scheduler_queue_shards: Option<usize>,
     /// Deterministic node-failure schedule, injected against the first pilot's
     /// allocation on the session clock (times are virtual seconds after the pilot
     /// becomes active). Empty (the default) injects nothing.
@@ -93,7 +87,6 @@ impl Default for SessionConfig {
             gang_drain_after: None,
             gang_packing: GangPacking::default(),
             allocator_shards: None,
-            scheduler_queue_shards: None,
             fault_plan: FaultPlan::new(),
         }
     }
@@ -196,31 +189,6 @@ impl SessionBuilder {
     /// ```
     pub fn allocator_shards(mut self, shards: usize) -> Self {
         self.config.allocator_shards = Some(shards.max(1));
-        self
-    }
-
-    /// Set the scheduler's wait-queue shard count: parked placements are striped
-    /// into that many independently locked FIFO shards (services always on shard
-    /// 0, which keeps their priority absolute), so admission and wakeup traffic
-    /// from many submitting threads stops serialising on one queue lock. Left
-    /// unset, the count is derived from the host parallelism and the pilot
-    /// allocation's node count — collapsing to one shard for small allocations,
-    /// which reproduces the single-queue scheduler exactly.
-    /// `scheduler_queue_shards(1)` is the explicit escape hatch pinning that
-    /// behaviour at any scale.
-    ///
-    /// ```
-    /// use hpcml_runtime::session::Session;
-    ///
-    /// // Stripe the scheduler front-end into 4 wait-queue shards…
-    /// let tuned = Session::builder("tuned").scheduler_queue_shards(4).build().unwrap();
-    /// assert_eq!(tuned.config().scheduler_queue_shards, Some(4));
-    /// // …or pin the single wait queue for bit-exact legacy placement order.
-    /// let legacy = Session::builder("legacy").scheduler_queue_shards(1).build().unwrap();
-    /// assert_eq!(legacy.config().scheduler_queue_shards, Some(1));
-    /// ```
-    pub fn scheduler_queue_shards(mut self, shards: usize) -> Self {
-        self.config.scheduler_queue_shards = Some(shards.max(1));
         self
     }
 
@@ -390,8 +358,7 @@ impl Session {
             Scheduler::with_lookahead(Arc::clone(&allocation), self.config.scheduler_lookahead)
                 .with_max_overtakes(self.config.scheduler_max_overtakes)
                 .with_gang_drain_after(self.config.gang_drain_after)
-                .with_gang_packing(self.config.gang_packing)
-                .with_queue_shards(self.config.scheduler_queue_shards),
+                .with_gang_packing(self.config.gang_packing),
         ));
         self.pilots.lock().push(Arc::clone(&record));
         self.spawn_fault_injector(&allocation);
@@ -508,14 +475,13 @@ impl Session {
 
     /// Submit a batch of tasks through the scheduler's batched admission path:
     /// dependency-free tasks with a satisfiable shape are enqueued as one burst —
-    /// one queue-shard lock round-trip per touched shard instead of one per task —
-    /// and enter `Scheduling` right here, at admission. They then wait in the
+    /// one wait-queue lock round-trip instead of one per task — and enter
+    /// `Scheduling` right here, at admission. They then wait in the
     /// executor's worker pool, without a thread, until a worker takes their ticket up
     /// in arrival order. Tasks with service dependencies or impossible shapes (and
     /// every task when no pilot is active) start on a worker right away, so they wait
-    /// or fail individually. The admission's fan-out shape is recorded as
-    /// `task.admission.batch_size`, `task.admission.shard_batch` and
-    /// `task.admission.shard_wakeups` metrics.
+    /// or fail individually. Each admitted burst records its size as the
+    /// `task.admission.batch_size` metric.
     pub fn submit_tasks(
         &self,
         descriptions: impl IntoIterator<Item = TaskDescription>,
@@ -539,20 +505,10 @@ impl Session {
                 .filter(|(_, batch)| **batch)
                 .map(|(d, _)| (d.resources, Priority::Task))
                 .collect();
-            let admission = scheduler.submit_batch(&requests)?;
+            let admitted = scheduler.submit_batch(&requests)?;
             self.metrics
-                .record_scalar("task.admission.batch_size", admission.tickets.len() as f64);
-            for (batched, woken) in admission.shard_batches.iter().zip(&admission.shard_wakeups) {
-                if *batched > 0 {
-                    self.metrics
-                        .record_scalar("task.admission.shard_batch", *batched as f64);
-                }
-                if *woken > 0 {
-                    self.metrics
-                        .record_scalar("task.admission.shard_wakeups", *woken as f64);
-                }
-            }
-            tickets = admission.tickets.into_iter();
+                .record_scalar("task.admission.batch_size", admitted.len() as f64);
+            tickets = admitted.into_iter();
         }
         let platform = self.active_platform();
         let mut jobs = Vec::with_capacity(descriptions.len());
@@ -743,7 +699,6 @@ mod tests {
         let s = Session::builder("bounded")
             .platform(PlatformId::Local)
             .clock(ClockSpec::scaled(10_000.0))
-            .scheduler_queue_shards(1)
             .build()
             .unwrap();
         s.submit_pilot(PilotDescription::new(PlatformId::Local).nodes(1))
@@ -758,9 +713,8 @@ mod tests {
         s.wait_tasks(Duration::from_secs(120)).unwrap();
         assert!(handles.iter().all(|h| h.state() == TaskState::Done));
         // At most one worker per running task (one core each) plus one per
-        // placement role (lookahead x queue shards).
-        let bound = PlatformId::Local.spec().node.cores as usize
-            + s.config().scheduler_lookahead * s.config().scheduler_queue_shards.unwrap();
+        // placement role (lookahead).
+        let bound = PlatformId::Local.spec().node.cores as usize + s.config().scheduler_lookahead;
         let workers = s.metrics().scalar_values("executor.workers");
         assert!(!workers.is_empty(), "spawns are recorded");
         let peak = workers.iter().copied().fold(0.0, f64::max) as usize;
@@ -772,12 +726,12 @@ mod tests {
     /// node until its service appears); the narrow tasks behind it must still place
     /// and finish through the lookahead window, and the gang must place once the
     /// client releases its cores, within its overtake budget.
-    fn narrow_tasks_pass_a_waiting_gang(queue_shards: usize) {
+    #[test]
+    fn narrow_tasks_pass_a_waiting_gang() {
         let s = Session::builder("window")
             .platform(PlatformId::Local)
             .clock(ClockSpec::scaled(1000.0))
             .scheduler_lookahead(4)
-            .scheduler_queue_shards(queue_shards)
             .build()
             .unwrap();
         s.submit_pilot(PilotDescription::new(PlatformId::Local).nodes(2))
@@ -827,16 +781,6 @@ mod tests {
     }
 
     #[test]
-    fn narrow_tasks_pass_a_waiting_gang_at_one_queue_shard() {
-        narrow_tasks_pass_a_waiting_gang(1);
-    }
-
-    #[test]
-    fn narrow_tasks_pass_a_waiting_gang_at_four_queue_shards() {
-        narrow_tasks_pass_a_waiting_gang(4);
-    }
-
-    #[test]
     fn allocator_shards_flow_from_builder_to_the_pilot_allocation() {
         let s = Session::builder("sharded")
             .platform(PlatformId::Local)
@@ -880,21 +824,10 @@ mod tests {
     }
 
     #[test]
-    fn queue_shards_flow_from_builder_and_batched_admission_records_metrics() {
-        let s = Session::builder("queue-sharded")
-            .platform(PlatformId::Local)
-            .clock(ClockSpec::scaled(10_000.0))
-            .scheduler_queue_shards(2)
-            .build()
-            .unwrap();
+    fn batched_admission_records_batch_size() {
+        let s = session(10_000.0);
         s.submit_pilot(PilotDescription::new(PlatformId::Local).nodes(2))
             .unwrap();
-        let scheduler = s.scheduler.lock().clone().unwrap();
-        assert_eq!(
-            scheduler.queue_shards(),
-            2,
-            "session knob reaches the scheduler"
-        );
         // A multi-task submission goes through batched admission and completes.
         let handles = s
             .submit_tasks((0..6).map(|i| {
@@ -910,12 +843,6 @@ mod tests {
             vec![6.0],
             "one batch of six tasks was admitted"
         );
-        let per_shard: f64 = s
-            .metrics()
-            .scalar_values("task.admission.shard_batch")
-            .iter()
-            .sum();
-        assert_eq!(per_shard as usize, 6, "shard batches cover the admission");
         s.close();
     }
 
@@ -995,16 +922,11 @@ mod tests {
         assert_eq!(cfg.gang_drain_after, None);
         assert_eq!(cfg.gang_packing, GangPacking::Partial);
         assert_eq!(cfg.allocator_shards, None, "shards derived unless pinned");
-        assert_eq!(
-            cfg.scheduler_queue_shards, None,
-            "queue shards derived unless pinned"
-        );
         let tuned = Session::builder("tuned")
             .gang_drain_after(Duration::from_secs(5))
             .scheduler_max_overtakes(Some(4))
             .gang_packing(GangPacking::Whole)
             .allocator_shards(0)
-            .scheduler_queue_shards(0)
             .build()
             .unwrap();
         assert_eq!(
@@ -1017,11 +939,6 @@ mod tests {
             tuned.config().allocator_shards,
             Some(1),
             "builder clamps the shard count to at least 1"
-        );
-        assert_eq!(
-            tuned.config().scheduler_queue_shards,
-            Some(1),
-            "builder clamps the queue-shard count to at least 1"
         );
         let s = Session::with_config(cfg.clone());
         assert_eq!(s.config(), &cfg);

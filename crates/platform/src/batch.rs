@@ -1542,8 +1542,9 @@ impl Allocation {
     /// that already failed (or was retired) is a no-op returning no victims.
     pub fn fail_node(&self, node: usize) -> Result<Vec<u64>, ResourceError> {
         // Lock order: drain controller → all shard locks ascending → live-slot
-        // stripes (the gang-claim order; release only takes a stripe lock as a
-        // dropped temporary before its shard locks, so no cycle exists).
+        // stripes → failed-slot map (the gang-claim order; release only takes a
+        // stripe lock as a dropped temporary before its shard locks or the
+        // failed-slot map, so no cycle exists).
         let mut drain_guard = self.drain.lock();
         let all: Vec<usize> = (0..self.num_shards).collect();
         let mut guards = self.lock_shards(&all);
@@ -1569,7 +1570,9 @@ impl Allocation {
         // Evict every live slot with a member on the node. Registered slots are
         // fully visible here (gang claims register under the shard locks we hold;
         // single claims registered before our stripe scan are seen, later ones
-        // carry reservations the write-off below accounts for).
+        // carry reservations the write-off below accounts for). A victim moves to
+        // `failed_slots` before its stripe lock drops, so a racing release that
+        // finds it no longer live always finds it evicted.
         let mut victims: Vec<Slot> = Vec::new();
         for stripe in &self.live_slots {
             let mut stripe = stripe.lock();
@@ -1578,14 +1581,13 @@ impl Allocation {
                 .filter(|(_, slot)| slot.members.iter().any(|m| m.node_index == node))
                 .map(|(&id, _)| id)
                 .collect();
-            for id in ids {
-                victims.push(stripe.remove(&id).expect("just listed"));
+            if ids.is_empty() {
+                continue;
             }
-        }
-        {
             let mut failed_map = self.failed_slots.lock();
-            for slot in &victims {
-                failed_map.insert(slot.id, node);
+            for id in ids {
+                failed_map.insert(id, node);
+                victims.push(stripe.remove(&id).expect("just listed"));
             }
         }
         for slot in &victims {

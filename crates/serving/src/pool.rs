@@ -24,32 +24,11 @@ use hpcml_comm::message::Message;
 use hpcml_comm::queue::{WorkQueue, WorkQueueReceiver, WorkQueueSender};
 use hpcml_comm::reqrep::Responder;
 use hpcml_sim::clock::SharedClock;
+use hpcml_sim::metrics::SharedSink;
 
 use crate::host::ModelHost;
 use crate::protocol::*;
 use crate::request::InferenceRequest;
-
-/// Destination for serving-plane metrics (batch sizes, queue depths, sheds). The
-/// runtime wires this to its executor metrics sink; standalone uses pass
-/// [`null_sink`]. Implemented for any `Fn(&str, f64)` closure.
-pub trait MetricsSink: Send + Sync {
-    /// Record one named scalar observation.
-    fn record(&self, name: &str, value: f64);
-}
-
-impl<F: Fn(&str, f64) + Send + Sync> MetricsSink for F {
-    fn record(&self, name: &str, value: f64) {
-        self(name, value)
-    }
-}
-
-/// Shared handle to a metrics sink.
-pub type SharedMetricsSink = Arc<dyn MetricsSink>;
-
-/// A sink that drops every observation.
-pub fn null_sink() -> SharedMetricsSink {
-    Arc::new(|_: &str, _: f64| {})
-}
 
 /// One admitted request travelling from the batch assembler to a replica worker.
 #[derive(Debug)]
@@ -136,7 +115,7 @@ impl Drop for Replica {
 pub struct ReplicaPool {
     clock: SharedClock,
     replicas: RwLock<Vec<Arc<Replica>>>,
-    sink: SharedMetricsSink,
+    sink: SharedSink,
     /// EWMA of observed per-request service seconds (f64 bits), fed by the workers
     /// and read by admission control to estimate queue delay.
     est_request_secs_bits: Arc<AtomicU64>,
@@ -154,7 +133,7 @@ impl std::fmt::Debug for ReplicaPool {
 
 impl ReplicaPool {
     /// Build a pool over pre-loaded hosts, spawning one worker thread per replica.
-    pub fn new(hosts: Vec<Arc<ModelHost>>, clock: SharedClock, sink: SharedMetricsSink) -> Self {
+    pub fn new(hosts: Vec<Arc<ModelHost>>, clock: SharedClock, sink: SharedSink) -> Self {
         let pool = ReplicaPool {
             clock,
             replicas: RwLock::new(Vec::new()),
@@ -174,11 +153,8 @@ impl ReplicaPool {
         let id = self.next_replica_id.fetch_add(1, Ordering::Relaxed);
         // Replicas feed from the comm fabric's work queue; queue depth lands in the
         // serving metrics as `comm.queue.depth` alongside the serving.* series.
-        let depth_sink = Arc::clone(&self.sink);
         let (tx, rx) = WorkQueue::<Batch>::unbounded(format!("serving.replica.{id}")).split();
-        let tx = tx.with_sink(Arc::new(move |name: &str, value: f64| {
-            depth_sink.record(name, value);
-        }));
+        let tx = tx.with_sink(Arc::clone(&self.sink));
         let outstanding = Arc::new(AtomicU64::new(0));
         let draining = Arc::new(AtomicBool::new(false));
         let worker = spawn_worker(
@@ -341,7 +317,7 @@ fn spawn_worker(
     rx: WorkQueueReceiver<Batch>,
     outstanding: Arc<AtomicU64>,
     clock: SharedClock,
-    sink: SharedMetricsSink,
+    sink: SharedSink,
     est_request_secs_bits: Arc<AtomicU64>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {

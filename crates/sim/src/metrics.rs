@@ -5,13 +5,39 @@
 //! RT = communication + service + inference). [`BreakdownRecorder`] collects one
 //! [`ComponentSample`] per entity (service instance, request) from any thread, and the
 //! harness aggregates them into per-component [`Summary`] statistics.
+//!
+//! Runtime layers that only emit named scalar observations (the comm fabric's
+//! `comm.*` series, the serving plane's `serving.*` series) record them through a
+//! [`Sink`]: the runtime wires its metric recorder in, standalone uses pass
+//! [`null_sink`].
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::stats::Summary;
+
+/// Destination for named scalar observations. Implemented for any `Fn(&str, f64)`.
+pub trait Sink: Send + Sync {
+    /// Record one named scalar observation.
+    fn record(&self, name: &str, value: f64);
+}
+
+impl<F: Fn(&str, f64) + Send + Sync> Sink for F {
+    fn record(&self, name: &str, value: f64) {
+        self(name, value)
+    }
+}
+
+/// Shared handle to a [`Sink`].
+pub type SharedSink = Arc<dyn Sink>;
+
+/// A sink that drops every observation.
+pub fn null_sink() -> SharedSink {
+    Arc::new(|_: &str, _: f64| {})
+}
 
 /// One measured sample decomposed into named components (all in virtual seconds).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -161,8 +187,19 @@ impl MetricRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use std::thread;
+
+    #[test]
+    fn closure_sink_records() {
+        let seen: Arc<Mutex<Vec<(String, f64)>>> = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
+        let sink: SharedSink = Arc::new(move |name: &str, value: f64| {
+            seen2.lock().push((name.to_string(), value));
+        });
+        sink.record("comm.fanout.width", 3.0);
+        null_sink().record("dropped", 1.0);
+        assert_eq!(seen.lock().as_slice(), &[("comm.fanout.width".into(), 3.0)]);
+    }
 
     #[test]
     fn component_sample_accessors() {

@@ -25,16 +25,13 @@
 #      the host actually has: >=8 CPUs must show >=1.5x, >=4 CPUs >=1.1x, and
 #      below that the check degrades to "not pathologically slower" (>=0.8x).
 #      Override with BENCH_CHURN_MIN_SPEEDUP; or
-#   6. the scheduler/churn queue_sharded sweep (16 queue shards over the same
-#      16-shard allocator) is missing, or 8-thread queue-sharded churn fails the
-#      same hardware-aware speedup bound against the scheduler/churn/sharded
-#      point — identical allocator, one queue shard — measured in the same run.
-#      Override with BENCH_QUEUE_CHURN_MIN_SPEEDUP; or
+#   6. (retired: guarded the removed queue-sharding axis of scheduler/churn;
+#      the number is kept so guards 7-9 keep their names); or
 #   7. the scheduler/admission_batch datapoints (batched vs individual admission
 #      of a 10^4 burst) are missing from the parsed results, or the batched path
 #      stops beating one-by-one admission (>= BENCH_ADMISSION_MIN_SPEEDUP,
 #      default 1.0x — batching trades per-item lock round trips for one per
-#      shard, which pays on any host); or
+#      burst, which pays on any host); or
 #   8. any of the four serving-plane datapoints (serving/unbatched,
 #      serving/batched/8, serving/overload_p99/shed_on, .../shed_off) is missing
 #      from the serving bench's parsed results, or continuous micro-batching
@@ -223,38 +220,6 @@ if [[ -n "$CHURN_SHARDED" && -n "$CHURN_SINGLE" ]]; then
             speedup = (sharded > 0) ? single / sharded : 0
             printf "guard: churn 8-thread sharded %.0f ns vs 1-shard %.0f ns: %.2fx speedup (bound %.2fx on %d CPUs)\n", \
                 sharded, single, speedup, min, cpus
-            exit !(speedup >= min)
-        }' || fail=1
-fi
-
-# Guard 6: the queue-shard contention sweep. Existence first, then the 8-thread
-# speedup of 16 queue shards over the 1-queue-shard configuration on the same
-# 16-shard allocator (scheduler/churn/sharded), both measured in this run. The
-# bound is hardware-aware for the same reason as guard 5.
-for point in "scheduler/churn/queue_sharded/8"; do
-    if ! echo "$RESULTS" | grep -q "^$point "; then
-        echo "bench_guard: FAILED — $point missing from parsed results" >&2
-        fail=1
-    fi
-done
-CHURN_QUEUE_SHARDED="$(lookup "$RESULTS" "scheduler/churn/queue_sharded/8")"
-if [[ -n "$CHURN_QUEUE_SHARDED" && -n "$CHURN_SHARDED" ]]; then
-    CPUS="$(nproc 2>/dev/null || echo 1)"
-    if [[ -n "${BENCH_QUEUE_CHURN_MIN_SPEEDUP:-}" ]]; then
-        QUEUE_MIN_SPEEDUP="$BENCH_QUEUE_CHURN_MIN_SPEEDUP"
-    elif [[ "$CPUS" -ge 8 ]]; then
-        QUEUE_MIN_SPEEDUP="1.5"
-    elif [[ "$CPUS" -ge 4 ]]; then
-        QUEUE_MIN_SPEEDUP="1.1"
-    else
-        QUEUE_MIN_SPEEDUP="0.8"
-    fi
-    awk -v queue="$CHURN_QUEUE_SHARDED" -v single="$CHURN_SHARDED" \
-        -v min="$QUEUE_MIN_SPEEDUP" -v cpus="$CPUS" '
-        BEGIN {
-            speedup = (queue > 0) ? single / queue : 0
-            printf "guard: churn 8-thread queue-sharded %.0f ns vs 1-queue-shard %.0f ns: %.2fx speedup (bound %.2fx on %d CPUs)\n", \
-                queue, single, speedup, min, cpus
             exit !(speedup >= min)
         }' || fail=1
 fi

@@ -804,6 +804,7 @@ fn drain_timeout_mid_reservation_leaks_nothing() {
                         Duration::from_secs(1),
                     )
                     .unwrap()
+                    .0
             })
             .collect();
         let gang = ResourceRequest {
@@ -1437,20 +1438,19 @@ fn service_state_walks_are_legal() {
     });
 }
 
-/// The sharded wait-queue front-end preserves the legacy admission contract when
-/// racing producers admit through `Scheduler::submit_batch`. The queue-shard
-/// count comes from `QUEUE_SHARDS` (default 4; CI runs a {1, 4} matrix in
-/// release mode), so the same interleavings prove both the sharded and the
-/// single-queue front-end.
+/// The wait queue keeps its admission contract when racing producers admit
+/// through `Scheduler::submit_batch` (CI runs this in release mode across the
+/// allocator-shard matrix).
 ///
 /// Scenario A (exact ordering oracle): capacity is held full while the producers
 /// concurrently admit whole-node service/task mixes, so every waiter parks.
 /// Exactly one node then circulates — each consumer releases its slot only
 /// *after* appending to the completion log, so the log order equals the
 /// placement order. Oracle: every service placement precedes every task
-/// placement (the service gate is absolute across shards), and for each
-/// (producer, shard) pair the completions replay that producer's admission
-/// order (per-shard FIFO at lookahead 1).
+/// placement (service priority is absolute), and within each class the
+/// completions replay the queue order at lookahead 1: each producer's batch
+/// places as one contiguous run, in that producer's admission order (a batch is
+/// appended under one lock round-trip, so batches never interleave).
 ///
 /// Scenario B (liveness + preemption under gang churn): producers admit mixed
 /// sub-node tasks, two-node gangs (random packing), and services; all consumers
@@ -1461,7 +1461,7 @@ fn service_state_walks_are_legal() {
 /// no waiter counted, no drain reservation, and an idle allocation.
 ///
 /// Liveness overall: a watchdog aborts the process if a case fails to finish in
-/// bounded time — a lost wakeup or shard/gate lock-order violation hangs here.
+/// bounded time — a lost wakeup or a lock-order violation hangs here.
 #[test]
 fn sharded_queue_admission_preserves_priority_and_fifo() {
     use hpcml::runtime::scheduler::{Priority, Scheduler};
@@ -1469,10 +1469,6 @@ fn sharded_queue_admission_preserves_priority_and_fifo() {
     use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
-    let queue_shards: usize = std::env::var("QUEUE_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
     const PRODUCERS: u64 = 3;
     const NODES: usize = 4;
 
@@ -1490,9 +1486,7 @@ fn sharded_queue_admission_preserves_priority_and_fifo() {
                     }
                     std::thread::sleep(Duration::from_millis(100));
                 }
-                eprintln!(
-                    "sharded queue admission property: case {case} exceeded 120 s — lost wakeup?"
-                );
+                eprintln!("queue admission property: case {case} exceeded 120 s — lost wakeup?");
                 std::process::abort();
             });
         }
@@ -1501,11 +1495,7 @@ fn sharded_queue_admission_preserves_priority_and_fifo() {
             let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
             let alloc = batch.submit(AllocationRequest::nodes(NODES)).unwrap();
             let spec = alloc.node_spec();
-            let scheduler = Arc::new(
-                Scheduler::with_lookahead(Arc::clone(&alloc), lookahead)
-                    .with_queue_shards(Some(queue_shards)),
-            );
-            assert_eq!(scheduler.queue_shards(), queue_shards.max(1));
+            let scheduler = Arc::new(Scheduler::with_lookahead(Arc::clone(&alloc), lookahead));
             (batch, alloc, spec, scheduler)
         };
 
@@ -1540,35 +1530,29 @@ fn sharded_queue_admission_preserves_priority_and_fifo() {
                             (whole, priority)
                         })
                         .collect();
-                    let admission = scheduler.submit_batch(&requests).expect("admission");
-                    assert_eq!(admission.tickets.len(), requests.len());
-                    assert_eq!(
-                        admission.shard_batches.iter().sum::<usize>(),
-                        requests.len(),
-                        "case {case}: the fan-out shape must cover the batch"
-                    );
-                    admission.tickets
+                    let tickets = scheduler.submit_batch(&requests).expect("admission");
+                    assert_eq!(tickets.len(), requests.len());
+                    tickets
                 }));
             }
             let batches: Vec<_> = producers.into_iter().map(|h| h.join().unwrap()).collect();
 
             // One consumer per ticket; the log push happens strictly before the
             // release that lets the next placement happen. Entries are
-            // (priority, producer, home shard, per-producer sequence number).
-            type ServeLog = Arc<Mutex<Vec<(Priority, u64, usize, usize)>>>;
+            // (priority, producer, per-producer sequence number).
+            type ServeLog = Arc<Mutex<Vec<(Priority, u64, usize)>>>;
             let log: ServeLog = Arc::new(Mutex::new(Vec::new()));
             let mut consumers = Vec::new();
             for (p, tickets) in batches.into_iter().enumerate() {
                 for (seq, ticket) in tickets.into_iter().enumerate() {
                     let scheduler = Arc::clone(&scheduler);
                     let log = Arc::clone(&log);
-                    let shard = ticket.shard();
                     let priority = ticket.priority();
                     consumers.push(std::thread::spawn(move || {
-                        let slot = scheduler
+                        let (slot, _) = scheduler
                             .allocate_admitted(ticket, Duration::from_secs(60))
                             .expect("no admitted waiter may be lost");
-                        log.lock().unwrap().push((priority, p as u64, shard, seq));
+                        log.lock().unwrap().push((priority, p as u64, seq));
                         scheduler.release(&slot).unwrap();
                     }));
                 }
@@ -1591,17 +1575,31 @@ fn sharded_queue_admission_preserves_priority_and_fifo() {
                     .all(|(pr, ..)| *pr == Priority::Task),
                 "case {case}: a service placed after a task: {log:?}"
             );
-            // Arrival order holds per class queue: services and tasks park in
-            // different queues even when they share a shard.
-            let mut last_seq: std::collections::HashMap<(bool, u64, usize), usize> =
-                std::collections::HashMap::new();
-            for &(pr, p, shard, seq) in &log {
-                if let Some(prev) = last_seq.insert((pr == Priority::Service, p, shard), seq) {
-                    assert!(
-                        prev < seq,
-                        "case {case}: producer {p} shard {shard} {pr:?} served seq {seq} \
-                         after {prev} — per-shard FIFO broken: {log:?}"
-                    );
+            // Queue order holds per class: services and tasks park in different
+            // queues, and within each a producer's batch is one contiguous run in
+            // admission order.
+            for class in [Priority::Service, Priority::Task] {
+                let served: Vec<(u64, usize)> = log
+                    .iter()
+                    .filter(|(pr, ..)| *pr == class)
+                    .map(|&(_, p, seq)| (p, seq))
+                    .collect();
+                let mut finished = std::collections::HashSet::new();
+                for pair in served.windows(2) {
+                    let ((p, seq), (next_p, next_seq)) = (pair[0], pair[1]);
+                    if p == next_p {
+                        assert!(
+                            seq < next_seq,
+                            "case {case}: producer {p} {class:?} served seq {next_seq} \
+                             after {seq} — FIFO broken: {log:?}"
+                        );
+                    } else {
+                        assert!(
+                            finished.insert(p) && !finished.contains(&next_p),
+                            "case {case}: producer {next_p} {class:?} batch interleaved \
+                             with another batch: {log:?}"
+                        );
+                    }
                 }
             }
             for slot in &held {
@@ -1677,10 +1675,7 @@ fn sharded_queue_admission_preserves_priority_and_fifo() {
                             }
                         })
                         .collect();
-                    scheduler
-                        .submit_batch(&requests)
-                        .expect("admission")
-                        .tickets
+                    scheduler.submit_batch(&requests).expect("admission")
                 }));
             }
             let batches: Vec<_> = producers.into_iter().map(|h| h.join().unwrap()).collect();
@@ -1691,7 +1686,7 @@ fn sharded_queue_admission_preserves_priority_and_fifo() {
                     let scheduler = Arc::clone(&scheduler);
                     let priority = ticket.priority();
                     consumers.push(std::thread::spawn(move || {
-                        let slot = scheduler
+                        let (slot, _) = scheduler
                             .allocate_admitted(ticket, Duration::from_secs(60))
                             .expect("no admitted waiter may be lost");
                         if priority == Priority::Task {
@@ -1721,19 +1716,14 @@ fn sharded_queue_admission_preserves_priority_and_fifo() {
             assert_eq!(alloc.reserved_nodes(), 0, "case {case}: no drain leaked");
             assert!(alloc.drain_status().is_none(), "case {case}");
             assert!(alloc.is_idle(), "case {case}: scenario B teardown");
-            assert_eq!(
-                scheduler.shard_wakeup_counts().len(),
-                queue_shards.max(1),
-                "case {case}: one wakeup counter per shard"
-            );
         }
 
         done.store(true, Ordering::Release);
     }
 }
 
-/// Equivalence regression for the batched admission path at the legacy setting:
-/// at `queue_shards = 1` a 10⁴-submission burst admitted through
+/// Equivalence regression for the batched admission path: a 10⁴-submission
+/// burst admitted through
 /// `Scheduler::submit_batch` and consumed ticket-by-ticket places on *exactly*
 /// the same node sequence as the same requests submitted one-by-one through
 /// `Scheduler::allocate` — same placement multiset, same evolving occupancy,
@@ -1767,10 +1757,7 @@ fn batched_burst_matches_one_by_one_at_single_shard() {
         let fresh = || {
             let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
             let alloc = batch.submit(AllocationRequest::nodes(4)).unwrap();
-            let scheduler = Arc::new(
-                Scheduler::with_lookahead(Arc::clone(&alloc), 1).with_queue_shards(Some(1)),
-            );
-            assert_eq!(scheduler.queue_shards(), 1);
+            let scheduler = Arc::new(Scheduler::with_lookahead(Arc::clone(&alloc), 1));
             (batch, alloc, scheduler)
         };
 
@@ -1783,7 +1770,7 @@ fn batched_burst_matches_one_by_one_at_single_shard() {
             if live.len() == WINDOW {
                 sched_a.release(&live.pop_front().unwrap()).unwrap();
             }
-            let slot = sched_a
+            let (slot, _) = sched_a
                 .allocate(req, Priority::Task, Duration::from_secs(5))
                 .expect("window policy keeps every request satisfiable");
             nodes_a.push(slot.members[0].node_index);
@@ -1799,20 +1786,15 @@ fn batched_burst_matches_one_by_one_at_single_shard() {
         let (_batch_b, alloc_b, sched_b) = fresh();
         let batch_reqs: Vec<(ResourceRequest, Priority)> =
             requests.iter().map(|r| (*r, Priority::Task)).collect();
-        let admission = sched_b.submit_batch(&batch_reqs).expect("admission");
-        assert_eq!(admission.tickets.len(), BURST);
-        assert_eq!(
-            admission.shard_batches,
-            vec![BURST],
-            "case {case}: a single shard takes the whole burst"
-        );
+        let tickets = sched_b.submit_batch(&batch_reqs).expect("admission");
+        assert_eq!(tickets.len(), BURST);
         let mut live = std::collections::VecDeque::new();
         let mut nodes_b = Vec::with_capacity(BURST);
-        for ticket in admission.tickets {
+        for ticket in tickets {
             if live.len() == WINDOW {
                 sched_b.release(&live.pop_front().unwrap()).unwrap();
             }
-            let slot = sched_b
+            let (slot, _) = sched_b
                 .allocate_admitted(ticket, Duration::from_secs(5))
                 .expect("window policy keeps every ticket satisfiable");
             nodes_b.push(slot.members[0].node_index);
@@ -1825,7 +1807,7 @@ fn batched_burst_matches_one_by_one_at_single_shard() {
 
         assert_eq!(
             nodes_a, nodes_b,
-            "case {case}: batched admission diverged from one-by-one at one shard"
+            "case {case}: batched admission diverged from one-by-one"
         );
         assert_eq!(alloc_a.free_cores(), alloc_b.free_cores(), "case {case}");
         assert_eq!(alloc_a.idle_nodes(), alloc_b.idle_nodes(), "case {case}");
@@ -1838,7 +1820,7 @@ fn batched_burst_matches_one_by_one_at_single_shard() {
 #[test]
 fn sharded_pubsub_churn_delivers_exactly_once_in_order() {
     use hpcml::comm::pubsub::Publisher;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     for shards in [1usize, 4] {
@@ -1854,12 +1836,17 @@ fn sharded_pubsub_churn_delivers_exactly_once_in_order() {
 
         // Churning threads subscribe and unsubscribe continuously while the
         // publisher runs; their deliveries are incidental — the property under test
-        // is that churn never corrupts the stable subscribers' streams.
+        // is that churn never corrupts the stable subscribers' streams. Publishing
+        // starts once every churner has completed a round, so the churn overlaps
+        // the publish window however the host schedules the threads.
+        const CHURNERS: usize = 3;
         let stop = Arc::new(AtomicBool::new(false));
-        let churners: Vec<_> = (0..3)
+        let started = Arc::new(AtomicUsize::new(0));
+        let churners: Vec<_> = (0..CHURNERS)
             .map(|_| {
                 let publisher = publisher.clone();
                 let stop = Arc::clone(&stop);
+                let started = Arc::clone(&started);
                 std::thread::spawn(move || {
                     let mut joined = 0u64;
                     while !stop.load(Ordering::Relaxed) {
@@ -1867,6 +1854,9 @@ fn sharded_pubsub_churn_delivers_exactly_once_in_order() {
                         let _ = sub.try_recv();
                         drop(sub);
                         joined += 1;
+                        if joined == 1 {
+                            started.fetch_add(1, Ordering::Release);
+                        }
                         // Keep the churn loop from starving the publisher on small hosts.
                         std::thread::yield_now();
                     }
@@ -1875,6 +1865,9 @@ fn sharded_pubsub_churn_delivers_exactly_once_in_order() {
             })
             .collect();
 
+        while started.load(Ordering::Acquire) < CHURNERS {
+            std::thread::yield_now();
+        }
         let pub2 = publisher.clone();
         let publisher_thread = std::thread::spawn(move || {
             for i in 0..MESSAGES {
