@@ -639,11 +639,6 @@ impl Executor {
         let wait_secs = wait_start.elapsed().as_secs_f64();
         self.metrics
             .record_scalar("task.placement_wait_secs", wait_secs);
-        // Shard-probe cost of the successful placement: 1 means the two-choice
-        // probe hit on its first allocator shard; values toward the allocation's
-        // shard count mean summary misses, a fallback sweep, or a cross-shard gang.
-        self.metrics
-            .record_scalar("task.placement.shard_probes", placement.shard_probes as f64);
         if slot.is_gang() {
             // Gang placements queue for multi-node capacity, so their behaviour is
             // tracked separately from single-node placement waits — including how

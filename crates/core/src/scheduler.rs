@@ -203,19 +203,15 @@ pub enum Priority {
     Task,
 }
 
-/// How a placement was obtained, alongside the slot: overtake, drain, and
-/// shard-probe telemetry the executor turns into `task.gang.overtakes` /
-/// `task.gang.drain_secs` / `task.placement.shard_probes` metrics.
+/// How a placement was obtained, alongside the slot: overtake and drain
+/// telemetry the executor turns into `task.gang.overtakes` /
+/// `task.gang.drain_secs` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PlacementStats {
     /// How many later arrivals of the same class placed while this request waited.
     pub overtakes: u32,
     /// Real seconds spent in draining mode before placing (`None` = never drained).
     pub drain_secs: Option<f64>,
-    /// Allocator shard locks the successful placement took: 1 = the two-choice
-    /// probe hit its first shard; values toward the allocation's shard count mean
-    /// summary misses, a fallback sweep, or a cross-shard gang claim.
-    pub shard_probes: u32,
 }
 
 /// A parked waiter created by [`Scheduler::submit_batch`]: the request already
@@ -565,16 +561,10 @@ impl Scheduler {
         let fast_eligible =
             st.services.is_empty() && (priority == Priority::Service || st.tasks.is_empty());
         if fast_eligible {
-            match self.allocation.allocate_slot_with_stats(&req) {
-                Ok((slot, probes)) => {
+            match self.allocation.allocate_slot(&req) {
+                Ok(slot) => {
                     self.outstanding.fetch_add(1, Ordering::AcqRel);
-                    return Ok((
-                        slot,
-                        PlacementStats {
-                            shard_probes: probes.shard_probes,
-                            ..PlacementStats::default()
-                        },
-                    ));
+                    return Ok((slot, PlacementStats::default()));
                 }
                 Err(ResourceError::InsufficientResources) => {}
                 Err(e) => return Err(RuntimeError::Resource(e)),
@@ -632,15 +622,15 @@ impl Scheduler {
             if let Some(drain_id) = my_drain {
                 // Draining: place through the reservation the moment it is complete.
                 if eligible {
-                    match self.allocation.allocate_reserved_with_stats(drain_id, req) {
-                        Ok((slot, probes)) => break Ok((slot, probes.shard_probes)),
+                    match self.allocation.allocate_reserved(drain_id, req) {
+                        Ok(slot) => break Ok(slot),
                         Err(ResourceError::InsufficientResources) => {}
                         Err(e) => break Err(RuntimeError::Resource(e)),
                     }
                 }
             } else if eligible {
-                match self.allocation.allocate_slot_with_stats(req) {
-                    Ok((slot, probes)) => break Ok((slot, probes.shard_probes)),
+                match self.allocation.allocate_slot(req) {
+                    Ok(slot) => break Ok(slot),
                     Err(ResourceError::InsufficientResources) => {}
                     Err(e) => break Err(RuntimeError::Resource(e)),
                 }
@@ -658,8 +648,8 @@ impl Scheduler {
                             drained_at = Some(Instant::now());
                             // The already-idle nodes may complete the reservation
                             // outright.
-                            match self.allocation.allocate_reserved_with_stats(id, req) {
-                                Ok((slot, probes)) => break Ok((slot, probes.shard_probes)),
+                            match self.allocation.allocate_reserved(id, req) {
+                                Ok(slot) => break Ok(slot),
                                 Err(ResourceError::InsufficientResources) => {}
                                 Err(e) => break Err(RuntimeError::Resource(e)),
                             }
@@ -681,10 +671,9 @@ impl Scheduler {
                     || self.waiting_services.load(Ordering::Acquire) == 0;
                 if may_final_try {
                     let attempt = match my_drain {
-                        Some(id) => self.allocation.allocate_reserved_with_stats(id, req),
-                        None => self.allocation.allocate_slot_with_stats(req),
-                    }
-                    .map(|(slot, probes)| (slot, probes.shard_probes));
+                        Some(id) => self.allocation.allocate_reserved(id, req),
+                        None => self.allocation.allocate_slot(req),
+                    };
                     match attempt {
                         Ok(placed) => break Ok(placed),
                         Err(ResourceError::InsufficientResources) => {}
@@ -745,13 +734,12 @@ impl Scheduler {
         self.notify_window(&st);
         drop(st);
 
-        result.map(|(slot, shard_probes)| {
+        result.map(|slot| {
             (
                 slot,
                 PlacementStats {
                     overtakes: waiter.overtakes.load(Ordering::Relaxed),
                     drain_secs: drained_at.map(|t| t.elapsed().as_secs_f64()),
-                    shard_probes,
                 },
             )
         })
@@ -1643,20 +1631,17 @@ mod tests {
         assert_eq!(s.allocation().idle_nodes(), 2);
     }
 
-    /// The sharded allocator's "pin before any waiter wakes" guarantee, exercised
-    /// under concurrency (and backed by a `debug_assert` in `release_slot`): when a
-    /// draining gang and a parked narrow waiter race for a node freed on the same
-    /// shard, the drain's pin must win — the release pins the node inside its own
-    /// critical section, before the scheduler can wake anyone. Seeded repeats shake
-    /// the thread interleaving.
+    /// The allocator's "pin before any waiter wakes" guarantee, exercised under
+    /// concurrency (and backed by a `debug_assert` in the release's pin hook): when
+    /// a draining gang and a parked narrow waiter race for a freed node, the
+    /// drain's pin must win — the release pins the node inside its own critical
+    /// section, before the scheduler can wake anyone. Seeded repeats shake the
+    /// thread interleaving.
     #[test]
-    fn drain_pin_wins_over_concurrent_same_shard_waiter_wakeup() {
+    fn drain_pin_wins_over_concurrent_waiter_wakeup() {
         for seed in 0..4u64 {
             let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), seed);
-            let alloc = batch
-                .submit(AllocationRequest::nodes(4).with_allocator_shards(2))
-                .unwrap();
-            assert_eq!(alloc.num_shards(), 2);
+            let alloc = batch.submit(AllocationRequest::nodes(4)).unwrap();
             let s = Arc::new(
                 Scheduler::with_lookahead(Arc::clone(&alloc), 2)
                     .with_max_overtakes(None)
@@ -1709,33 +1694,6 @@ mod tests {
             assert_eq!(alloc.idle_nodes(), 4);
             assert_eq!(alloc.reserved_nodes(), 0);
         }
-    }
-
-    /// Placement stats surface the allocator's shard-probe count: 1-ish for
-    /// single-node placements (two-choice probe), the spanned shard count for a
-    /// cross-shard gang.
-    #[test]
-    fn placement_stats_report_shard_probes() {
-        let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 3);
-        let alloc = batch
-            .submit(AllocationRequest::nodes(4).with_allocator_shards(2))
-            .unwrap();
-        let s = Scheduler::new(alloc);
-        let (slot, stats) = s
-            .allocate(&cores(4), Priority::Task, Duration::from_secs(1))
-            .unwrap();
-        assert!((1..=2).contains(&stats.shard_probes), "{stats:?}");
-        let (gang, gang_stats) = s
-            .allocate(
-                &cores(32).with_nodes(4),
-                Priority::Task,
-                Duration::from_secs(1),
-            )
-            .unwrap();
-        assert_eq!(gang_stats.shard_probes, 2, "gang locks every shard");
-        s.release(&slot).unwrap();
-        s.release(&gang).unwrap();
-        assert_eq!(s.outstanding_slots(), 0);
     }
 
     #[test]

@@ -17,8 +17,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The defaults (`replicas = 1`, `max_batch_size = 1`) reproduce the seed-era
 /// one-request-one-backend-call behaviour exactly — batching and replication are
-/// opt-in per service, mirroring the `allocator_shards = 1` legacy escape hatch of the
-/// sharded allocator.
+/// opt-in per service.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServingConfig {
     /// Number of `ModelHost` replicas behind the endpoint.

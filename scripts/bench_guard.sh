@@ -17,16 +17,10 @@
 #   4. scheduler/gang_backfill stops being flat across the same sweep — the
 #      backfill-reservation cycle (begin_drain + allocate_reserved + release) must
 #      stay O(gang size + pinned nodes), independent of allocation width; or
-#   5. the scheduler/churn thread sweep (1/2/4/8/16 threads on 256 nodes, sharded
-#      16-shard allocator vs the allocator_shards=1 baseline) is missing from the
-#      parsed results, or 8-thread sharded churn fails its speedup bound against
-#      the 1-shard configuration measured in the same run. The bound is
-#      hardware-aware because lock sharding can only buy wall-clock parallelism
-#      the host actually has: >=8 CPUs must show >=1.5x, >=4 CPUs >=1.1x, and
-#      below that the check degrades to "not pathologically slower" (>=0.8x).
-#      Override with BENCH_CHURN_MIN_SPEEDUP; or
-#   6. (retired: guarded the removed queue-sharding axis of scheduler/churn;
+#   5. (retired: guarded the removed allocator-sharding axis of scheduler/churn;
 #      the number is kept so guards 7-9 keep their names); or
+#   6. (retired: guarded the removed queue-sharding axis of scheduler/churn;
+#      the number is kept for the same reason); or
 #   7. the scheduler/admission_batch datapoints (batched vs individual admission
 #      of a 10^4 burst) are missing from the parsed results, or the batched path
 #      stops beating one-by-one admission (>= BENCH_ADMISSION_MIN_SPEEDUP,
@@ -191,43 +185,10 @@ flatness_guard "gang_allocate" || fail=1
 flatness_guard "gang_partial" || fail=1
 flatness_guard "gang_backfill" || fail=1
 
-# Guard 5: the contention-scaling churn sweep. Existence first — a refactor that
-# renames or drops the sharded-vs-single sweep must fail loudly — then the
-# 8-thread speedup of the sharded allocator over the 1-shard baseline, both
-# measured in this run on this machine.
-for point in "scheduler/churn/sharded/8" "scheduler/churn/single/8"; do
-    if ! echo "$RESULTS" | grep -q "^$point "; then
-        echo "bench_guard: FAILED — $point missing from parsed results" >&2
-        fail=1
-    fi
-done
-CHURN_SHARDED="$(lookup "$RESULTS" "scheduler/churn/sharded/8")"
-CHURN_SINGLE="$(lookup "$RESULTS" "scheduler/churn/single/8")"
-if [[ -n "$CHURN_SHARDED" && -n "$CHURN_SINGLE" ]]; then
-    CPUS="$(nproc 2>/dev/null || echo 1)"
-    if [[ -n "${BENCH_CHURN_MIN_SPEEDUP:-}" ]]; then
-        MIN_SPEEDUP="$BENCH_CHURN_MIN_SPEEDUP"
-    elif [[ "$CPUS" -ge 8 ]]; then
-        MIN_SPEEDUP="1.5"
-    elif [[ "$CPUS" -ge 4 ]]; then
-        MIN_SPEEDUP="1.1"
-    else
-        MIN_SPEEDUP="0.8"
-    fi
-    awk -v sharded="$CHURN_SHARDED" -v single="$CHURN_SINGLE" \
-        -v min="$MIN_SPEEDUP" -v cpus="$CPUS" '
-        BEGIN {
-            speedup = (sharded > 0) ? single / sharded : 0
-            printf "guard: churn 8-thread sharded %.0f ns vs 1-shard %.0f ns: %.2fx speedup (bound %.2fx on %d CPUs)\n", \
-                sharded, single, speedup, min, cpus
-            exit !(speedup >= min)
-        }' || fail=1
-fi
-
 # Guard 7: batched admission. Existence first — the admission_batch group must
 # stay in the suite — then batched vs one-by-one admission of the same burst,
-# both measured in this run. Unlike the contention guards this bound is flat:
-# the batched saving is lock round trips per item, not parallelism.
+# both measured in this run. The bound is flat: the batched saving is lock round
+# trips per item, not parallelism.
 for point in "scheduler/admission_batch/batched/10000" "scheduler/admission_batch/individual/10000"; do
     if ! echo "$RESULTS" | grep -q "^$point "; then
         echo "bench_guard: FAILED — $point missing from parsed results" >&2

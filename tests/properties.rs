@@ -854,25 +854,22 @@ fn drain_timeout_mid_reservation_leaks_nothing() {
     });
 }
 
-/// Random walks through the task state machine only ever follow legal transitions and
-/// always terminate in a final state within a bounded number of steps.
-/// Randomized multi-thread interleavings against a *sharded* allocation: worker
-/// threads mix single-node allocations, Partial- and Whole-packed gang claims
-/// spanning shards, and releases, while a drain actor cycles backfill
-/// reservations (begin → bounded wait for the reserved placement → cancel on
-/// timeout). The shard count comes from `ALLOC_SHARDS` (default 4; CI runs a
-/// {1, 4} matrix in release mode), so the same interleavings prove both the
-/// sharded and the single-lock configuration.
+/// Randomized multi-thread interleavings against one allocation: worker threads
+/// mix single-node allocations, Partial- and Whole-packed gang claims, and
+/// releases, while a drain actor cycles backfill reservations (begin → bounded
+/// wait for the reserved placement → cancel on timeout). CI runs it in release
+/// mode (the name keeps the `sharded` stress filter selecting it).
 ///
-/// Safety oracle: a shared cross-shard occupancy set of (node, core) and
-/// (node, gpu) pairs — inserted *after* every successful claim (a collision means
-/// the allocator double-booked a unit across shard locks) and drained *before*
-/// the release reaches the allocator (so a racing re-claim of the freed unit can
-/// never false-positive). Liveness: a watchdog aborts the process if a case fails
-/// to finish in bounded time — a shard/drain lock-order violation would deadlock
-/// exactly here. Teardown: full release must restore the idle count, the free
-/// totals, and every per-shard headroom class (proven by a whole-allocation
-/// whole-node-share gang fitting again), with no reservation left behind.
+/// Safety oracle: a shared occupancy set of (node, core) and (node, gpu) pairs —
+/// inserted *after* every successful claim (a collision means the allocator
+/// double-booked a unit) and drained *before* the release reaches the allocator
+/// (so a racing re-claim of the freed unit can never false-positive). Liveness: a
+/// watchdog aborts the process if a case fails to finish in bounded time — a
+/// lock-order violation between the state lock, the live-slot stripes and the
+/// drain pin would deadlock exactly here. Teardown: full release must restore
+/// the idle count, the free totals, and every headroom class (proven by a
+/// whole-allocation whole-node-share gang fitting again), with no reservation
+/// left behind.
 #[test]
 fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
     use std::collections::HashSet;
@@ -880,10 +877,6 @@ fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
     use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
 
-    let shards: usize = std::env::var("ALLOC_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
     const THREADS: u64 = 4;
     const OPS: usize = 60;
     const NODES: usize = 32;
@@ -891,14 +884,11 @@ fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
     for case in 0..8u64 {
         let seed = 0x5A4D ^ (case.wrapping_mul(0x9E37_79B9));
         let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
-        let alloc = batch
-            .submit(AllocationRequest::nodes(NODES).with_allocator_shards(shards))
-            .unwrap();
-        assert_eq!(alloc.num_shards(), shards.clamp(1, NODES));
+        let alloc = batch.submit(AllocationRequest::nodes(NODES)).unwrap();
         let spec = alloc.node_spec();
         let total_cores = alloc.total_cores();
         let total_gpus = alloc.total_gpus();
-        // The cross-shard occupancy oracle.
+        // The occupancy oracle.
         let live_units: Arc<Mutex<HashSet<(usize, bool, u32)>>> =
             Arc::new(Mutex::new(HashSet::new()));
         let claim = move |oracle: &Mutex<HashSet<(usize, bool, u32)>>,
@@ -914,14 +904,14 @@ fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
                 for &c in &m.core_ids {
                     assert!(
                         live.insert((m.node_index, false, c)),
-                        "case {case}: core {c} on node {} double-booked across shards",
+                        "case {case}: core {c} on node {} double-booked",
                         m.node_index
                     );
                 }
                 for &g in &m.gpu_ids {
                     assert!(
                         live.insert((m.node_index, true, g)),
-                        "case {case}: gpu {g} on node {} double-booked across shards",
+                        "case {case}: gpu {g} on node {} double-booked",
                         m.node_index
                     );
                 }
@@ -940,7 +930,7 @@ fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
             }
         };
 
-        // Bounded-time guarantee: a deadlock in the shard/drain lock protocol
+        // Bounded-time guarantee: a deadlock in the allocator's lock protocol
         // would hang the threads below; abort loudly instead of hanging CI.
         let done = Arc::new(AtomicBool::new(false));
         {
@@ -952,7 +942,9 @@ fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
                     }
                     std::thread::sleep(Duration::from_millis(100));
                 }
-                eprintln!("sharded interleaving property: case {case} exceeded 120 s — deadlock?");
+                eprintln!(
+                    "allocator interleaving property: case {case} exceeded 120 s — deadlock?"
+                );
                 std::process::abort();
             });
         }
@@ -1054,7 +1046,7 @@ fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
         }
         done.store(true, Ordering::Release);
 
-        // Teardown restored everything, across every shard.
+        // Teardown restored everything.
         assert!(live_units.lock().unwrap().is_empty(), "case {case}");
         assert!(alloc.is_idle(), "case {case}");
         assert_eq!(
@@ -1066,7 +1058,7 @@ fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
         assert_eq!(alloc.free_gpus(), total_gpus, "case {case}");
         assert_eq!(alloc.reserved_nodes(), 0, "case {case}: no drain leaked");
         assert!(alloc.drain_status().is_none(), "case {case}");
-        // Per-shard headroom classes restored exactly: a whole-allocation gang of
+        // Headroom classes restored exactly: a whole-allocation gang of
         // whole-node shares (idle buckets) must fit again.
         let all = alloc
             .allocate_slot(&ResourceRequest {
@@ -1076,7 +1068,7 @@ fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
                 nodes: NODES,
                 packing: None,
             })
-            .expect("teardown must restore every shard's headroom classes");
+            .expect("teardown must restore every headroom class");
         assert_eq!(all.num_nodes(), NODES);
         assert_eq!(all.partial_nodes(), 0, "case {case}: all nodes idle again");
         alloc.release_slot(&all).unwrap();
@@ -1087,7 +1079,8 @@ fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
 /// Node failures injected into live multithreaded churn — workers mixing single
 /// and gang claims/releases, a drain actor cycling backfill reservations — never
 /// double-book a unit and never leak capacity. The fault seed comes from
-/// `FAULT_SEED` (default 0xFA117) so CI can sweep different failure schedules.
+/// `FAULT_SEED` (default 0xFA117) so CI can sweep different failure schedules
+/// (the release-mode `node_failure` stress filter selects this test).
 ///
 /// Safety oracle: a shared occupancy set plus a slot registry, both updated under
 /// one mutex. The fault actor holds that mutex *across* `fail_node`, writing the
@@ -1165,10 +1158,6 @@ fn node_failure_during_gang_claim_and_drain_never_double_books_or_leaks() {
         }
     }
 
-    let shards: usize = std::env::var("ALLOC_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
     let fault_seed: u64 = std::env::var("FAULT_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -1181,9 +1170,7 @@ fn node_failure_during_gang_claim_and_drain_never_double_books_or_leaks() {
     for case in 0..6u64 {
         let seed = fault_seed ^ (case.wrapping_mul(0x9E37_79B9));
         let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
-        let alloc = batch
-            .submit(AllocationRequest::nodes(NODES).with_allocator_shards(shards))
-            .unwrap();
+        let alloc = batch.submit(AllocationRequest::nodes(NODES)).unwrap();
         let spec = alloc.node_spec();
         let oracle: Arc<Mutex<Oracle>> = Arc::new(Mutex::new(Oracle::default()));
 
@@ -1386,6 +1373,8 @@ fn node_failure_during_gang_claim_and_drain_never_double_books_or_leaks() {
     }
 }
 
+/// Random walks through the task state machine only ever follow legal transitions and
+/// always terminate in a final state within a bounded number of steps.
 #[test]
 fn task_state_walks_reach_terminal_states() {
     for_each_case("task_state_walks_reach_terminal_states", |rng| {
@@ -1439,8 +1428,7 @@ fn service_state_walks_are_legal() {
 }
 
 /// The wait queue keeps its admission contract when racing producers admit
-/// through `Scheduler::submit_batch` (CI runs this in release mode across the
-/// allocator-shard matrix).
+/// through `Scheduler::submit_batch` (CI runs this in release mode).
 ///
 /// Scenario A (exact ordering oracle): capacity is held full while the producers
 /// concurrently admit whole-node service/task mixes, so every waiter parks.
